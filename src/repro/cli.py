@@ -393,14 +393,10 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             request_timeout_s=args.request_timeout,
             hedge_delay_s=args.hedge_delay,
             journal_dir=args.journal_dir,
-            replicate_interval_s=args.replicate_interval,
             retry_after_s=args.retry_after,
             drain_timeout_s=args.drain_timeout,
             readmit_threshold=args.readmit_threshold,
             repair_interval_s=args.repair_interval,
-            repair_max_work=args.repair_budget,
-            rebalance_interval_s=args.rebalance_interval,
-            rebalance_batch=args.rebalance_batch,
         ).validate()
     except ServiceConfigError as error:
         print(f"error: {error}", file=sys.stderr)
@@ -1084,10 +1080,6 @@ def build_parser() -> argparse.ArgumentParser:
              "and replay it on startup",
     )
     cluster.add_argument(
-        "--replicate-interval", type=float, default=0.2, metavar="SECONDS",
-        help="background replication sweep interval (default: 0.2)",
-    )
-    cluster.add_argument(
         "--retry-after", type=float, default=1.0, metavar="SECONDS",
         help="baseline Retry-After hint on 429/503 (default: 1)",
     )
@@ -1102,21 +1094,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cluster.add_argument(
         "--repair-interval", type=float, default=2.0, metavar="SECONDS",
-        help="anti-entropy repair round interval (0 = off, default: 2)",
-    )
-    cluster.add_argument(
-        "--repair-budget", type=int, default=256, metavar="WORK",
-        help="cooperative work budget per repair round "
-             "(0 = unbudgeted, default: 256)",
-    )
-    cluster.add_argument(
-        "--rebalance-interval", type=float, default=0.5, metavar="SECONDS",
-        help="rebalancer sweep interval after membership changes "
-             "(default: 0.5)",
-    )
-    cluster.add_argument(
-        "--rebalance-batch", type=int, default=8, metavar="N",
-        help="sessions reseated per rebalancer sweep (default: 8)",
+        help="anti-entropy digest scan interval (0 = off, default: 2)",
     )
     cluster.add_argument(
         "--trace-roots", type=int, default=256, metavar="N",

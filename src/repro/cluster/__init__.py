@@ -12,18 +12,17 @@ single shard's ``kill -9`` without losing accepted session state:
 * :mod:`repro.cluster.health` — heartbeat probes feeding per-shard
   circuit breakers (the reused :class:`repro.resilience.CircuitBreaker`),
 * :mod:`repro.cluster.coordinator` — session routing with journal-
-  replay failover, background replication, and hedged scatter-gather
-  LocateSample with partial-result degradation,
+  replay failover and hedged scatter-gather LocateSample with
+  partial-result degradation,
+* :mod:`repro.cluster.reconcile` — the one level-triggered loop that
+  keeps every session's replicas equal to its ring replica set:
+  replica shipping, placement moves after live membership changes
+  (the ``/admin/shards`` join/decommission API), and periodic
+  anti-entropy digest scans,
 * :mod:`repro.cluster.spawn` — subprocess harness for real topologies
   (chaos tests, the failover bench, CI smoke),
 * :mod:`repro.cluster.supervisor` — crashed-shard respawn with seeded
-  jittered backoff; re-admission rides the heartbeat half-open path,
-* :mod:`repro.cluster.rebalance` — bounded-rate session reseating
-  after live membership changes (the ``/admin/shards`` join/
-  decommission API),
-* :mod:`repro.cluster.antientropy` — periodic digest comparison across
-  each session's replica set, reseating missing/divergent replicas
-  from the coordinator journal under a cooperative work budget.
+  jittered backoff; re-admission rides the heartbeat half-open path.
 
 The coordinator speaks the same HTTP surface as ``mweaver serve``, so
 existing clients, the load bench and ``mweaver top`` work against it
@@ -33,20 +32,15 @@ the same :class:`repro.resilience.SessionJournal` the shards use.
 
 from __future__ import annotations
 
-from repro.cluster.antientropy import AntiEntropyRepairer, RepairRound
 from repro.cluster.client import (
     HttpShardClient,
     InProcessShardClient,
     ShardReply,
 )
 from repro.cluster.config import ClusterConfig
-from repro.cluster.coordinator import (
-    ClusterSession,
-    CoordinatorApp,
-    Replicator,
-)
+from repro.cluster.coordinator import ClusterSession, CoordinatorApp
 from repro.cluster.health import HealthMonitor
-from repro.cluster.rebalance import Rebalancer
+from repro.cluster.reconcile import Reconciler, RepairScan
 from repro.cluster.ring import HashRing
 from repro.cluster.spawn import (
     CoordinatorProcess,
@@ -60,10 +54,8 @@ __all__ = [
     "ClusterConfig",
     "CoordinatorApp",
     "ClusterSession",
-    "Replicator",
-    "Rebalancer",
-    "AntiEntropyRepairer",
-    "RepairRound",
+    "Reconciler",
+    "RepairScan",
     "ShardSupervisor",
     "HashRing",
     "HealthMonitor",

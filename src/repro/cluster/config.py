@@ -57,25 +57,14 @@ class ClusterConfig:
     #: Directory for the coordinator's crash-safe session journal
     #: (``None`` disables journaling — and with it failover replay).
     journal_dir: str | None = None
-    #: Seconds between replication sweeps warming secondary shards.
-    replicate_interval_s: float = 0.2
     #: ``Retry-After`` hint (seconds) for shard_down/drain refusals.
     retry_after_s: float = 1.0
     #: Seconds graceful drain waits for in-flight requests on SIGTERM.
     drain_timeout_s: float = 10.0
-    #: Seconds between anti-entropy repair rounds (digest comparison
-    #: across each session's replica set; 0 disables the loop).
+    #: Seconds between the reconciler's anti-entropy digest scans
+    #: (each shard's ``/admin/digest`` against the coordinator's grids;
+    #: 0 disables scans, event-driven reconcile passes still run).
     repair_interval_s: float = 2.0
-    #: Cooperative work budget per repair round (digest fetches cost 1,
-    #: reseats cost :data:`REPAIR_RESEAT_COST`); 0 = unbudgeted.  The
-    #: budget is what keeps repair from starving live traffic: a round
-    #: that runs out resumes where it stopped next round.
-    repair_max_work: int = 256
-    #: Seconds between rebalancer sweeps after a membership change.
-    rebalance_interval_s: float = 0.5
-    #: Sessions reseated per rebalancer sweep (the bounded rate:
-    #: ``rebalance_batch / rebalance_interval_s`` sessions per second).
-    rebalance_batch: int = 8
 
     def validate(self) -> "ClusterConfig":
         """Raise :class:`ServiceConfigError` on any bad knob; return self."""
@@ -123,8 +112,6 @@ class ClusterConfig:
             raise ServiceConfigError(
                 "hedge_delay_s must be >= 0 (0 disables hedging)"
             )
-        if self.replicate_interval_s <= 0:
-            raise ServiceConfigError("replicate_interval_s must be positive")
         if self.retry_after_s <= 0:
             raise ServiceConfigError("retry_after_s must be positive")
         if self.drain_timeout_s < 0:
@@ -135,12 +122,4 @@ class ClusterConfig:
             raise ServiceConfigError(
                 "repair_interval_s must be >= 0 (0 disables repair)"
             )
-        if self.repair_max_work < 0:
-            raise ServiceConfigError(
-                "repair_max_work must be >= 0 (0 = unbudgeted)"
-            )
-        if self.rebalance_interval_s <= 0:
-            raise ServiceConfigError("rebalance_interval_s must be positive")
-        if self.rebalance_batch < 1:
-            raise ServiceConfigError("rebalance_batch must be >= 1")
         return self

@@ -24,9 +24,13 @@ Design:
   shard, and a restarted coordinator (lazy re-seat after journal
   replay).  Only when every replica is exhausted does the client see a
   503 with ``reason="shard_down"``.
-* **Replication.** The hot path touches one shard; a background
-  :class:`Replicator` warms the other replicas with full-grid restores
-  (idempotent, convergent), so failover replay is usually a no-op.
+* **Replication.** The hot path touches one shard and marks the
+  session dirty; the :class:`~repro.cluster.reconcile.Reconciler`
+  ships full-grid restores (idempotent, convergent) to the rest of the
+  ring replica set, moves placements after membership changes, and
+  repairs what its periodic digest scan finds missing or divergent.
+  Each session records in ``synced`` which shards hold its current
+  grid; a failover onto a shard outside it seats the grid first.
 * **Scatter-gather.** ``GET /locate`` splits the LocateSample scan
   into one partition per shard (stable attribute hashing — see
   :func:`repro.service.registry.locate_partition`), fans them out in
@@ -56,16 +60,22 @@ from repro.exceptions import (
     ShardUnavailableError,
     UnknownSessionError,
 )
-from repro.cluster.antientropy import AntiEntropyRepairer
 from repro.cluster.client import HttpShardClient, ShardReply
 from repro.cluster.config import ClusterConfig
 from repro.cluster.health import HealthMonitor
-from repro.cluster.rebalance import Rebalancer
+from repro.cluster.reconcile import Reconciler
 from repro.cluster.ring import HashRing
 from repro.obs import get_logger, get_metrics, get_tracer
 from repro.obs.prometheus import render_exposition
 from repro.resilience import Degradation, SessionJournal, replay_journal
 from repro.service.retry_after import retry_after_header
+from repro.service.validation import (
+    BadRequest,
+    as_int,
+    column_names,
+    require,
+    served_dataset,
+)
 
 _log = get_logger(__name__)
 
@@ -75,29 +85,12 @@ Response = tuple[int, "dict[str, Any] | str | None", "dict[str, str]"]
 _FORWARD_HEADERS = ("Content-Type", "Retry-After", "X-Request-Id")
 
 
-class _BadRequest(Exception):
-    """Internal: malformed payloads become 400s with this message."""
-
-
-def _require(body: dict[str, Any] | None, key: str) -> Any:
-    if not isinstance(body, dict) or key not in body:
-        raise _BadRequest(f"missing required field {key!r}")
-    return body[key]
-
-
-def _as_int(value: Any, name: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise _BadRequest(f"{name} must be an integer") from None
-
-
 class ClusterSession:
     """The coordinator's record of one session: placement + grid."""
 
     __slots__ = (
         "session_id", "dataset", "columns", "on_irrelevant",
-        "replicas", "primary", "cells", "failovers", "lock",
+        "replicas", "primary", "cells", "failovers", "lock", "synced",
     )
 
     def __init__(
@@ -118,6 +111,9 @@ class ClusterSession:
         self.cells: dict[tuple[int, int], str] = {}
         self.failovers = 0
         self.lock = threading.RLock()
+        #: Shards known to hold exactly ``cells`` (the observed state
+        #: the reconciler compares with the ring's replica set).
+        self.synced: set[str] = set()
 
     def restore_payload(self) -> dict[str, Any]:
         """The body shipped to a shard's ``/admin/.../restore``."""
@@ -130,89 +126,6 @@ class ClusterSession:
                 for (row, column), value in self.cells.items()
             ],
         }
-
-
-class Replicator:
-    """Background warming of secondary replicas (full-grid restores).
-
-    The hot path marks a session dirty after every accepted mutation;
-    the sweep ships the whole grid to every non-primary replica.
-    Restores are idempotent and convergent (replace semantics on the
-    shard), so at-least-once delivery with coalescing is safe — and a
-    replica that was down simply stays dirty until a later sweep.
-    ``flush()`` runs one synchronous sweep for deterministic tests.
-    """
-
-    def __init__(self, coordinator: "CoordinatorApp", interval_s: float) -> None:
-        self._coordinator = coordinator
-        self.interval_s = interval_s
-        self._dirty: set[str] = set()
-        self._lock = threading.Lock()
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
-
-    def mark(self, session_id: str) -> None:
-        """Queue a session for the next replica ship."""
-        with self._lock:
-            self._dirty.add(session_id)
-
-    def pending(self) -> int:
-        """Sessions whose replicas still await a ship."""
-        with self._lock:
-            return len(self._dirty)
-
-    def flush(self) -> None:
-        """One synchronous sweep (tests; drain)."""
-        self._sweep()
-
-    def _sweep(self) -> None:
-        with self._lock:
-            batch = sorted(self._dirty)
-            self._dirty.clear()
-        for session_id in batch:
-            session = self._coordinator._sessions.get(session_id)
-            if session is None:
-                continue
-            with session.lock:
-                payload = session.restore_payload()
-                targets = [
-                    shard for shard in session.replicas
-                    if shard != session.primary
-                ]
-            for shard in targets:
-                if not self._coordinator.health.is_up(shard):
-                    self.mark(session_id)
-                    continue
-                try:
-                    self._coordinator._ship_restore(
-                        shard, session_id, payload
-                    )
-                except ShardUnavailableError:
-                    self._coordinator.health.record_failure(shard)
-                    self.mark(session_id)
-
-    def _loop(self) -> None:
-        while not self._stop.wait(self.interval_s):
-            try:
-                self._sweep()
-            except Exception as error:  # noqa: BLE001 - keep sweeping
-                _log.warning("replication sweep failed: %s", error)
-
-    def start(self) -> "Replicator":
-        """Start the background sweep thread (idempotent)."""
-        if self._thread is None:
-            self._thread = threading.Thread(
-                target=self._loop, name="cluster-replicator", daemon=True
-            )
-            self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        """Stop the sweep thread and wait for it."""
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
 
 
 class CoordinatorApp:
@@ -255,18 +168,8 @@ class CoordinatorApp:
             reset_timeout_s=self.config.breaker_reset_s,
             readmit_threshold=self.config.readmit_threshold,
         )
-        self.replicator = Replicator(
-            self, self.config.replicate_interval_s
-        )
-        self.rebalancer = Rebalancer(
-            self,
-            interval_s=self.config.rebalance_interval_s,
-            batch=self.config.rebalance_batch,
-        )
-        self.repairer = AntiEntropyRepairer(
-            self,
-            interval_s=self.config.repair_interval_s,
-            max_work=self.config.repair_max_work,
+        self.reconciler = Reconciler(
+            self, repair_interval_s=self.config.repair_interval_s
         )
         self.journal: SessionJournal | None = None
         if self.config.journal_dir:
@@ -298,9 +201,7 @@ class CoordinatorApp:
         )
         if start_background:
             self.health.start()
-            self.replicator.start()
-            self.rebalancer.start()
-            self.repairer.start()  # no-op when repair_interval_s == 0
+            self.reconciler.start()
         self.started_at = time.time()
         self._closed = False
 
@@ -338,7 +239,7 @@ class CoordinatorApp:
                 if value.strip()
             }
             self._sessions[session_id] = session
-            self.replicator.mark(session_id)
+            self.reconciler.mark(session_id)
         self.recovered_sessions = len(self._sessions)
         self.journal.compact(
             {sid: recovered[sid] for sid in self._sessions}
@@ -384,10 +285,8 @@ class CoordinatorApp:
         if self._closed:
             return
         self._closed = True
-        self.repairer.stop()
-        self.rebalancer.stop()
+        self.reconciler.stop()
         self.health.stop()
-        self.replicator.stop()
         self._scatter_pool.shutdown(wait=False)
         self._hedge_pool.shutdown(wait=False)
         for client in self.clients.values():
@@ -426,7 +325,7 @@ class CoordinatorApp:
                     status, payload, headers = self._dispatch(
                         method, parts, query, body
                     )
-                except _BadRequest as error:
+                except BadRequest as error:
                     status, payload, headers = 400, {"error": str(error)}, {}
                 except UnknownSessionError as error:
                     status, payload, headers = 404, {"error": str(error)}, {}
@@ -572,12 +471,8 @@ class CoordinatorApp:
 
     def _ship_restore(
         self, shard: str, session_id: str, payload: dict[str, Any]
-    ) -> dict[str, Any] | None:
-        """Re-seat one session on one shard (raises on any failure).
-
-        Returns the shard's restore reply body (anti-entropy reads the
-        post-restore ``digest`` from it for thrash detection).
-        """
+    ) -> None:
+        """Re-seat one session on one shard (raises on any failure)."""
         reply = self._shard_call(
             shard, "POST", f"/admin/sessions/{session_id}/restore",
             None, payload,
@@ -586,10 +481,17 @@ class CoordinatorApp:
             raise ShardUnavailableError(
                 shard, f"restore answered {reply.status}"
             )
-        try:
-            return reply.json()
-        except Exception:  # noqa: BLE001 - body is advisory
-            return None
+
+    def _seat(self, session: ClusterSession, shard: str) -> None:
+        """Ship ``session``'s grid to ``shard`` and record it as synced.
+
+        Callers hold ``session.lock``, so no write can be accepted
+        between the copy and the ship.
+        """
+        self._ship_restore(
+            shard, session.session_id, session.restore_payload()
+        )
+        session.synced.add(shard)
 
     def _call_session(
         self,
@@ -598,16 +500,21 @@ class CoordinatorApp:
         path: str,
         query: dict[str, str] | None = None,
         body: dict[str, Any] | None = None,
+        *,
+        seats: bool = False,
     ) -> ShardReply:
         """One session-pinned call with replica failover.
 
-        Walks the replica set starting at the current primary.  A
-        transport failure feeds the breaker and moves on; a 404 from a
-        shard that *should* hold the session means it lost it (restart,
-        eviction, never-warmed secondary) — re-seat from the
-        coordinator's journaled grid and retry once.  Success promotes
-        whichever shard answered to primary.  Shard refusals (429 /
-        503 / 504) pass through: the shard is alive, just busy.
+        Walks the replica set starting at the current primary; callers
+        hold ``session.lock``.  A shard outside ``session.synced`` is
+        seated with the journaled grid before it serves, so a stale or
+        unknown copy never answers; ``seats`` marks a call that is
+        itself such a restore (create).  A transport failure feeds the
+        breaker and moves on; a 404 from a shard that *should* hold the
+        session means it lost it (restart, eviction) — re-seat and
+        retry once.  Success promotes whichever shard answered to
+        primary.  Shard refusals (429 / 503 / 504) pass through: the
+        shard is alive, just busy.
         """
         candidates = [session.primary] + [
             shard for shard in session.replicas
@@ -616,22 +523,25 @@ class CoordinatorApp:
         routable = [s for s in candidates if self.health.is_up(s)]
         for shard in routable:
             try:
+                if shard not in session.synced and not seats:
+                    self._seat(session, shard)
                 reply = self._shard_call(shard, method, path, query, body)
                 if reply.status == 404:
                     # The shard lost the session: re-seat and retry.
-                    self._ship_restore(
-                        shard, session.session_id,
-                        session.restore_payload(),
-                    )
+                    self._seat(session, shard)
                     reply = self._shard_call(
                         shard, method, path, query, body
                     )
                     if reply.status == 404:
                         continue
             except ShardUnavailableError:
+                # Whatever the shard holds now is unknown.
+                session.synced.discard(shard)
                 self.health.record_failure(shard)
                 continue
             self.health.record_success(shard)
+            if seats and reply.status == 200:
+                session.synced.add(shard)
             if shard != session.primary:
                 _log.warning(
                     "session %s failed over %s -> %s",
@@ -641,9 +551,8 @@ class CoordinatorApp:
                 session.failovers += 1
                 self.failovers += 1
                 get_metrics().counter("repro.cluster.failovers").inc()
-                # The old primary (and any stale secondary) needs the
-                # grid re-shipped once it comes back.
-                self.replicator.mark(session.session_id)
+                # The old primary will miss what this one accepts.
+                self.reconciler.mark(session.session_id)
             return reply
         raise ServiceUnavailableError(
             f"no replica of session {session.session_id} is reachable "
@@ -676,19 +585,13 @@ class CoordinatorApp:
     def create_session(self, body: dict[str, Any] | None) -> Response:
         """``POST /sessions`` — place and create a replicated session."""
         body = body or {}
-        dataset = str(body.get("dataset", self.config.datasets[0]))
-        if dataset not in self.config.datasets:
-            raise _BadRequest(
-                f"dataset {dataset!r} is not served (loaded: "
-                f"{', '.join(self.config.datasets)})"
-            )
-        columns = body.get("columns", list(self.config.default_columns))
-        if (
-            not isinstance(columns, (list, tuple))
-            or not columns
-            or not all(isinstance(c, str) and c.strip() for c in columns)
-        ):
-            raise _BadRequest("columns must be a non-empty list of names")
+        dataset = served_dataset(
+            str(body.get("dataset", self.config.datasets[0])),
+            self.config.datasets,
+        )
+        columns = column_names(
+            body.get("columns", list(self.config.default_columns))
+        )
         on_irrelevant = str(body.get("on_irrelevant", "ignore"))
         with self._sessions_lock:
             if len(self._sessions) >= self.config.max_sessions:
@@ -712,7 +615,7 @@ class CoordinatorApp:
                 reply = self._call_session(
                     session, "POST",
                     f"/admin/sessions/{session_id}/restore",
-                    None, session.restore_payload(),
+                    None, session.restore_payload(), seats=True,
                 )
         except Exception:
             with self._sessions_lock:
@@ -727,7 +630,7 @@ class CoordinatorApp:
                 session_id, dataset, session.columns,
                 on_irrelevant=on_irrelevant,
             )
-        self.replicator.mark(session_id)
+        self.reconciler.mark(session_id)
         state = dict(reply.json())
         state.pop("restored", None)
         state.pop("replaced", None)
@@ -740,20 +643,20 @@ class CoordinatorApp:
     ) -> Response:
         """``POST /sessions/{id}/cells`` — proxy one input, journal it."""
         session = self._session(session_id)
-        row = _as_int(_require(body, "row"), "row")
-        value = str(_require(body, "value"))
+        row = as_int(require(body, "row"), "row")
+        value = str(require(body, "value"))
         assert body is not None
         column = body.get("column")
         column_name = body.get("column_name")
         if column is None and column_name is None:
-            raise _BadRequest("provide either column or column_name")
+            raise BadRequest("provide either column or column_name")
         if column is not None:
-            col_index = _as_int(column, "column")
+            col_index = as_int(column, "column")
         else:
             try:
                 col_index = session.columns.index(str(column_name))
             except ValueError:
-                raise _BadRequest(
+                raise BadRequest(
                     f"unknown column {column_name!r}"
                 ) from None
         with session.lock:
@@ -771,7 +674,7 @@ class CoordinatorApp:
                 # Mirror the spreadsheet's normalization (values
                 # stripped, empty cells absent) so the coordinator's
                 # grid hashes identically to the shard's under
-                # anti-entropy digest comparison.
+                # digest comparison.  Only the primary holds it now.
                 stripped = value.strip()
                 if stripped:
                     session.cells[(row, col_index)] = stripped
@@ -781,7 +684,8 @@ class CoordinatorApp:
                     self.journal.record_cell(
                         session_id, row, col_index, value
                     )
-                self.replicator.mark(session_id)
+                session.synced = {session.primary}
+                self.reconciler.mark(session_id)
         return 200, state, {}
 
     def proxy_session(
@@ -819,7 +723,7 @@ class CoordinatorApp:
     # -- live membership (admin API) -----------------------------------
 
     def admin_list_shards(self) -> Response:
-        """``GET /admin/shards`` — membership + rebalance/repair status."""
+        """``GET /admin/shards`` — membership + reconcile/repair status."""
         with self._membership_lock:
             ring_shards = set(self.ring.shards)
             decommissioning = set(self._decommissioning)
@@ -839,22 +743,22 @@ class CoordinatorApp:
             "shards": members,
             "ring": self.ring.summary(),
             "membership_changes": self.membership_changes,
-            "rebalance": self.rebalancer.snapshot(),
-            "repair": self.repairer.snapshot(),
+            "pending": self.reconciler.pending(),
+            "repair": self.reconciler.snapshot(),
         }, {}
 
     def admin_add_shard(self, body: dict[str, Any] | None) -> Response:
         """``POST /admin/shards`` — join a shard to the ring, live.
 
         The new shard starts receiving heartbeats immediately; the
-        rebalancer then reseats (at its bounded rate) every session
-        whose replica set the join moved.  Re-adding a shard that is
-        mid-decommission cancels the decommission.
+        reconciler then moves every session whose replica set the join
+        changed.  Re-adding a shard that is mid-decommission cancels the
+        decommission.
         """
-        address = str(_require(body, "address")).strip()
+        address = str(require(body, "address")).strip()
         host, _, port = address.rpartition(":")
         if not host or not port.isdigit():
-            raise _BadRequest(f"address {address!r} is not host:port")
+            raise BadRequest(f"address {address!r} is not host:port")
         with self._membership_lock:
             if address in self.ring.shards:
                 return 409, {
@@ -868,27 +772,27 @@ class CoordinatorApp:
                 self.clients[address] = client
                 self.health.add_shard(address, client)
             self.membership_changes += 1
-        queued = self.rebalancer.mark_all()
+        queued = self.reconciler.mark_all()
         get_metrics().counter(
             "repro.cluster.membership.changes", op="join"
         ).inc()
         _log.info(
-            "shard %s %s the ring (%d session(s) queued for rebalance)",
+            "shard %s %s the ring (%d session(s) pending)",
             address, "rejoined" if rejoining else "joined", queued,
         )
         return 201, {
             "address": address,
             "rejoined": rejoining,
             "ring": self.ring.summary(),
-            "rebalance_pending": self.rebalancer.pending(),
+            "pending": queued,
         }, {}
 
     def admin_remove_shard(self, address: str) -> Response:
         """``DELETE /admin/shards/{address}`` — decommission, live.
 
         The shard leaves the *ring* at once (no new placements) but
-        keeps serving the sessions it holds while the rebalancer
-        drains them off; only when nothing references it any more is
+        keeps serving the sessions it holds while the reconciler
+        moves them off; only when nothing references it any more is
         it dropped from the health monitor and its client closed
         (:meth:`_sweep_decommissions`).  Answers 202 — removal is
         asynchronous by design.
@@ -899,7 +803,7 @@ class CoordinatorApp:
                     return 202, {
                         "address": address,
                         "decommissioning": True,
-                        "rebalance_pending": self.rebalancer.pending(),
+                        "pending": self.reconciler.pending(),
                     }, {}
                 return 404, {
                     "error": f"shard {address} is not a member"
@@ -911,18 +815,18 @@ class CoordinatorApp:
             self.ring = self.ring.remove(address)
             self._decommissioning.add(address)
             self.membership_changes += 1
-        queued = self.rebalancer.mark_all()
+        queued = self.reconciler.mark_all()
         get_metrics().counter(
             "repro.cluster.membership.changes", op="decommission"
         ).inc()
         _log.info(
-            "shard %s decommissioning (%d session(s) queued for drain)",
+            "shard %s decommissioning (%d session(s) pending)",
             address, queued,
         )
         return 202, {
             "address": address,
             "decommissioning": True,
-            "rebalance_pending": self.rebalancer.pending(),
+            "pending": queued,
         }, {}
 
     def _sweep_decommissions(self) -> None:
@@ -954,12 +858,12 @@ class CoordinatorApp:
         _log.info("shard %s decommissioned (drained and removed)", shard)
 
     def admin_repair(self) -> Response:
-        """``POST /admin/repair`` — one synchronous anti-entropy round."""
-        report = self.repairer.run_round()
+        """``POST /admin/repair`` — one synchronous digest scan and pass."""
+        report = self.reconciler.repair()
         return 200, {
             "round": report.to_dict(),
-            "rounds": self.repairer.rounds,
-            "total_reseats": self.repairer.total_reseats,
+            "rounds": self.reconciler.rounds,
+            "total_reseats": self.reconciler.total_reseats,
         }, {}
 
     # -- scatter-gather LocateSample -----------------------------------
@@ -972,14 +876,12 @@ class CoordinatorApp:
         (``Degradation(phase="cluster", reason="shard_down")``) rather
         than failing it — unless *nothing* answered.
         """
-        dataset = str(query.get("dataset", self.config.datasets[0]))
-        if dataset not in self.config.datasets:
-            raise _BadRequest(
-                f"dataset {dataset!r} is not served (loaded: "
-                f"{', '.join(self.config.datasets)})"
-            )
+        dataset = served_dataset(
+            str(query.get("dataset", self.config.datasets[0])),
+            self.config.datasets,
+        )
         if "sample" not in query:
-            raise _BadRequest("missing required query parameter 'sample'")
+            raise BadRequest("missing required query parameter 'sample'")
         sample = str(query["sample"])
         # Partition over the *live* ring so joins widen the scan and
         # decommissions stop targeting the departing shard.
@@ -1112,13 +1014,12 @@ class CoordinatorApp:
             "failovers": self.failovers,
             "hedges": self.hedges,
             "degraded_locates": self.degraded_locates,
-            "replication_pending": self.replicator.pending(),
+            "pending": self.reconciler.pending(),
             "membership": {
                 "changes": self.membership_changes,
                 "decommissioning": sorted(self._decommissioning),
             },
-            "rebalance": self.rebalancer.snapshot(),
-            "repair": self.repairer.snapshot(),
+            "repair": self.reconciler.snapshot(),
             "journal": (
                 {
                     "path": str(self.journal.path),
@@ -1163,11 +1064,8 @@ class CoordinatorApp:
                 "repro.cluster.shard.up", shard=shard
             ).set(1 if shard_up else 0)
         metrics.gauge("repro.cluster.shards.up").set(up)
-        metrics.gauge("repro.cluster.replication.pending").set(
-            self.replicator.pending()
-        )
-        metrics.gauge("repro.cluster.rebalance.pending").set(
-            self.rebalancer.pending()
+        metrics.gauge("repro.cluster.reconcile.pending").set(
+            self.reconciler.pending()
         )
         metrics.gauge("repro.cluster.membership.decommissioning").set(
             len(self._decommissioning)

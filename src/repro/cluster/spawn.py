@@ -264,7 +264,6 @@ class CoordinatorProcess(ServerProcess):
         breaker_reset_s: float = 1.0,
         readmit_threshold: int | None = None,
         repair_interval_s: float | None = None,
-        repair_max_work: int | None = None,
         extra_args: tuple[str, ...] = (),
         name: str = "coordinator",
     ) -> None:
@@ -282,8 +281,6 @@ class CoordinatorProcess(ServerProcess):
             args += ["--readmit-threshold", str(readmit_threshold)]
         if repair_interval_s is not None:
             args += ["--repair-interval", str(repair_interval_s)]
-        if repair_max_work is not None:
-            args += ["--repair-budget", str(repair_max_work)]
         for address in shard_addresses:
             args += ["--shard", address]
         if journal_dir:

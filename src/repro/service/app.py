@@ -97,6 +97,13 @@ from repro.service.registry import (
 from repro.service.remote import RemoteMappingSession
 from repro.service.retry_after import retry_after_header
 from repro.service.sessions import ManagedSession, SessionManager
+from repro.service.validation import (
+    BadRequest,
+    as_int,
+    column_names,
+    require,
+    served_dataset,
+)
 from repro.service.workers import WorkerPool
 
 _log = get_logger(__name__)
@@ -105,23 +112,6 @@ _log = get_logger(__name__)
 #: transport, a str is served verbatim as ``text/plain`` (the
 #: Prometheus exposition and folded profiles), ``None`` has no body.
 Response = tuple[int, "dict[str, Any] | str | None", "dict[str, str]"]
-
-
-class _BadRequest(Exception):
-    """Internal: malformed payloads become 400s with this message."""
-
-
-def _require(body: dict[str, Any] | None, key: str) -> Any:
-    if not isinstance(body, dict) or key not in body:
-        raise _BadRequest(f"missing required field {key!r}")
-    return body[key]
-
-
-def _as_int(value: Any, name: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise _BadRequest(f"{name} must be an integer") from None
 
 
 class ServiceApp:
@@ -406,7 +396,7 @@ class ServiceApp:
                 status, payload, headers = self._dispatch(
                     method, parts, query, body
                 )
-            except _BadRequest as error:
+            except BadRequest as error:
                 status, payload, headers = 400, {"error": str(error)}, {}
             except UnknownSessionError as error:
                 status, payload, headers = 404, {"error": str(error)}, {}
@@ -575,19 +565,13 @@ class ServiceApp:
     def create_session(self, body: dict[str, Any] | None) -> Response:
         """``POST /sessions`` — admit a new mapping session."""
         body = body or {}
-        dataset = str(body.get("dataset", self.config.datasets[0]))
-        if dataset not in self.config.datasets:
-            raise _BadRequest(
-                f"dataset {dataset!r} is not served (loaded: "
-                f"{', '.join(self.config.datasets)})"
-            )
-        columns = body.get("columns", list(self.config.default_columns))
-        if (
-            not isinstance(columns, (list, tuple))
-            or not columns
-            or not all(isinstance(c, str) and c.strip() for c in columns)
-        ):
-            raise _BadRequest("columns must be a non-empty list of names")
+        dataset = served_dataset(
+            str(body.get("dataset", self.config.datasets[0])),
+            self.config.datasets,
+        )
+        columns = column_names(
+            body.get("columns", list(self.config.default_columns))
+        )
         factory = self._session_factory(dataset, columns)
         managed = self.sessions.create(dataset, factory)
         self._stamp_remote(managed)
@@ -619,15 +603,15 @@ class ServiceApp:
         blowing the request deadline.
         """
         managed = self.sessions.get(session_id)
-        row = _as_int(_require(body, "row"), "row")
-        value = str(_require(body, "value"))
+        row = as_int(require(body, "row"), "row")
+        value = str(require(body, "value"))
         assert body is not None
         column_name = body.get("column_name")
         column = body.get("column")
         if column is None and column_name is None:
-            raise _BadRequest("provide either column or column_name")
+            raise BadRequest("provide either column or column_name")
         if column is not None:
-            column = _as_int(column, "column")
+            column = as_int(column, "column")
         deadline_s = self.config.effective_search_deadline_s
         self.admission.check(
             self.pool.qsize(), self.config.request_timeout_s
@@ -714,7 +698,7 @@ class ServiceApp:
     def candidates(self, session_id: str, query: dict[str, str]) -> Response:
         """``GET /sessions/{id}/candidates`` — ranked candidate mappings."""
         managed = self.sessions.get(session_id)
-        limit = _as_int(query.get("limit", 10), "limit")
+        limit = as_int(query.get("limit", 10), "limit")
         with_sql = query.get("sql", "") in ("1", "true", "yes")
         with managed.lock:
             session = managed.session
@@ -775,10 +759,10 @@ class ServiceApp:
     def suggest(self, session_id: str, query: dict[str, str]) -> Response:
         """``GET /sessions/{id}/suggest`` — auto-completion values."""
         managed = self.sessions.get(session_id)
-        row = _as_int(query.get("row", 0), "row")
-        column = _as_int(_require(query, "column"), "column")
+        row = as_int(query.get("row", 0), "row")
+        column = as_int(require(query, "column"), "column")
         prefix = query.get("prefix", "")
-        limit = _as_int(query.get("limit", 10), "limit")
+        limit = as_int(query.get("limit", 10), "limit")
         self.admission.check(
             self.pool.qsize(), self.config.request_timeout_s
         )
@@ -820,31 +804,22 @@ class ServiceApp:
         with the same grid are idempotent and convergent.
         """
         body = body or {}
-        dataset = str(_require(body, "dataset"))
-        if dataset not in self.config.datasets:
-            raise _BadRequest(
-                f"dataset {dataset!r} is not served (loaded: "
-                f"{', '.join(self.config.datasets)})"
-            )
-        columns = body.get("columns")
-        if (
-            not isinstance(columns, (list, tuple))
-            or not columns
-            or not all(isinstance(c, str) and c.strip() for c in columns)
-        ):
-            raise _BadRequest("columns must be a non-empty list of names")
+        dataset = served_dataset(
+            str(require(body, "dataset")), self.config.datasets
+        )
+        columns = column_names(body.get("columns"))
         on_irrelevant = str(body.get("on_irrelevant", "ignore"))
         raw_cells = body.get("cells", [])
         if not isinstance(raw_cells, (list, tuple)):
-            raise _BadRequest("cells must be a list of [row, column, value]")
+            raise BadRequest("cells must be a list of [row, column, value]")
         grid: dict[tuple[int, int], str] = {}
         for entry in raw_cells:
             if not isinstance(entry, (list, tuple)) or len(entry) != 3:
-                raise _BadRequest(
+                raise BadRequest(
                     "cells must be a list of [row, column, value]"
                 )
             row, col, value = entry
-            grid[_as_int(row, "cell row"), _as_int(col, "cell column")] = (
+            grid[as_int(row, "cell row"), as_int(col, "cell column")] = (
                 str(value)
             )
         replaced = session_id in self.sessions.ids()
@@ -917,23 +892,21 @@ class ServiceApp:
         shard can serve any partition — that is what lets the
         coordinator hedge a slow partition onto a replica.
         """
-        dataset = str(query.get("dataset", self.config.datasets[0]))
-        if dataset not in self.config.datasets:
-            raise _BadRequest(
-                f"dataset {dataset!r} is not served (loaded: "
-                f"{', '.join(self.config.datasets)})"
-            )
+        dataset = served_dataset(
+            str(query.get("dataset", self.config.datasets[0])),
+            self.config.datasets,
+        )
         if "sample" not in query:
-            raise _BadRequest("missing required query parameter 'sample'")
+            raise BadRequest("missing required query parameter 'sample'")
         sample = normalize_sample(str(query["sample"]))
         if not sample:
-            raise _BadRequest("sample must not be blank")
-        parts = _as_int(query.get("parts", 1), "parts")
-        part = _as_int(query.get("part", 0), "part")
+            raise BadRequest("sample must not be blank")
+        parts = as_int(query.get("parts", 1), "parts")
+        part = as_int(query.get("part", 0), "part")
         if parts < 1:
-            raise _BadRequest("parts must be >= 1")
+            raise BadRequest("parts must be >= 1")
         if not 0 <= part < parts:
-            raise _BadRequest("part must be in [0, parts)")
+            raise BadRequest("part must be in [0, parts)")
         db = self.registry.get(dataset)
         entries = [
             [relation, attribute]
@@ -1146,7 +1119,7 @@ class ServiceApp:
         query = query or {}
         if self.recorder is None:
             return 404, {"error": "flight recorder disabled"}, {}
-        limit = _as_int(query.get("limit", 50), "limit")
+        limit = as_int(query.get("limit", 50), "limit")
         interesting = query.get("interesting", "") in ("1", "true", "yes")
         return 200, {
             "requests": self.recorder.list(

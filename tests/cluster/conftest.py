@@ -4,7 +4,7 @@
 shard-mode :class:`ServiceApp` backends wired through
 :class:`InProcessShardClient` — no sockets, no subprocesses, fully
 deterministic: background threads stay off and tests drive
-``health.probe_once()`` / ``replicator.flush()`` by hand.
+``health.probe_once()`` / ``reconciler.run_pass()`` by hand.
 """
 
 from __future__ import annotations
@@ -76,7 +76,6 @@ def make_cluster(cluster_registry):
             # Long reset: a downed shard stays down for the whole test
             # instead of sneaking back through a half-open trial.
             breaker_reset_s=600.0,
-            replicate_interval_s=0.05,
             hedge_delay_s=0.0,  # hedging off by default (deterministic)
         )
         settings.update(overrides)

@@ -1,4 +1,4 @@
-"""Tests for the anti-entropy repair loop (digest comparison + reseat)."""
+"""Tests for the reconciler's anti-entropy scan (digest comparison + reseat)."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from tests.cluster.conftest import run_flow
 
 def seed_flow(coordinator):
     session_id, _ = run_flow(coordinator)
-    coordinator.replicator.flush()
+    coordinator.reconciler.run_pass()
     return session_id
 
 
@@ -39,13 +39,13 @@ class TestRepairRounds:
     def test_healthy_cluster_converges_with_no_reseats(self, make_cluster):
         coordinator, _, _ = make_cluster()
         seed_flow(coordinator)
-        report = coordinator.repairer.run_round()
+        report = coordinator.reconciler.repair()
         assert report.pairs == 2  # R=2: primary + one secondary
         assert report.missing == 0
         assert report.divergent == 0
         assert report.reseated == 0
         assert report.converged
-        assert coordinator.repairer.converged
+        assert coordinator.reconciler.converged
 
     def test_coordinator_and_shard_digests_agree_after_writes(
         self, make_cluster
@@ -83,7 +83,7 @@ class TestRepairRounds:
             "DELETE", f"/sessions/{session_id}", {}, None
         )
         assert status == 204
-        report = coordinator.repairer.run_round()
+        report = coordinator.reconciler.repair()
         assert report.missing == 1
         assert report.reseated == 1
         assert not report.converged
@@ -94,7 +94,7 @@ class TestRepairRounds:
         assert payload["sessions"][session_id]["digest"] == grid_digest(
             session.cells
         )
-        assert coordinator.repairer.run_round().converged
+        assert coordinator.reconciler.repair().converged
 
     def test_divergent_replica_is_reseated(self, make_cluster):
         coordinator, apps, _ = make_cluster()
@@ -114,10 +114,10 @@ class TestRepairRounds:
             },
         )
         assert status == 200
-        report = coordinator.repairer.run_round()
+        report = coordinator.reconciler.repair()
         assert report.divergent == 1
         assert report.reseated == 1
-        assert coordinator.repairer.run_round().converged
+        assert coordinator.reconciler.repair().converged
 
     def test_down_replica_counts_unverified_until_it_returns(
         self, make_cluster
@@ -130,29 +130,28 @@ class TestRepairRounds:
             if shard != session.primary
         )
         clients[secondary].down = True
-        report = coordinator.repairer.run_round()
+        report = coordinator.reconciler.repair()
         assert report.unverified >= 1
         assert not report.converged
         clients[secondary].down = False
         # Re-admit through the sustained-healthy window.
         coordinator.health.probe_once()
         coordinator.health.probe_once()
-        assert coordinator.repairer.run_round().converged
+        assert coordinator.reconciler.repair().converged
 
-    def test_budget_exhaustion_parks_a_cursor_and_resumes(
+    def test_exhausted_pass_budget_resumes_in_fifo_order(
         self, make_cluster
     ):
         coordinator, _, _ = make_cluster()
-        for _ in range(4):
-            seed_flow(coordinator)
-        coordinator.repairer.max_work = 1
-        report = coordinator.repairer.run_round()
-        assert report.budget_exhausted
-        assert not report.converged
-        assert coordinator.repairer._cursor is not None
-        # With the budget restored, a full round covers every pair.
-        coordinator.repairer.max_work = 0  # unbudgeted
-        report = coordinator.repairer.run_round()
+        flows = [run_flow(coordinator)[0] for _ in range(4)]
+        # Each secondary needs one ship; a budget of one reaches only
+        # the oldest dirty session, the rest keep their place in line.
+        assert coordinator.reconciler.run_pass(max_work=1) == 1
+        assert coordinator.reconciler.pending() == 3
+        assert list(coordinator.reconciler._dirty) == flows[1:]
+        assert coordinator.reconciler.run_pass(max_work=0) == 3
+        assert coordinator.reconciler.pending() == 0
+        report = coordinator.reconciler.repair()
         assert report.pairs == 8  # 4 sessions x R=2
         assert report.converged
 
@@ -178,23 +177,27 @@ class TestRepairRounds:
     def test_healthz_reports_repair_state(self, make_cluster):
         coordinator, _, _ = make_cluster()
         seed_flow(coordinator)
-        coordinator.repairer.run_round()
+        coordinator.reconciler.repair()
         status, body, _ = coordinator.handle("GET", "/healthz", {}, None)
         assert status == 200
         assert body["repair"]["rounds"] == 1
         assert body["repair"]["converged"] is True
         assert body["repair"]["last_round"]["pairs"] == 2
+        assert body["pending"] == 0
 
     def test_deleted_sessions_drop_out_of_the_repair_view(
         self, make_cluster
     ):
         coordinator, _, _ = make_cluster()
-        session_id = seed_flow(coordinator)
+        session_id, _ = run_flow(coordinator)  # still dirty
         status, _, _ = coordinator.handle(
             "DELETE", f"/sessions/{session_id}", {}, None
         )
         assert status == 204
-        report = coordinator.repairer.run_round()
+        # The dirty mark is dropped without shipping anything.
+        assert coordinator.reconciler.run_pass() == 0
+        assert coordinator.reconciler.pending() == 0
+        report = coordinator.reconciler.repair()
         assert report.sessions == 0
         assert report.pairs == 0
         assert report.converged
@@ -208,14 +211,14 @@ class TestRepairCorrectness:
         equal the unfaulted run's — zero accepted-state loss."""
         coordinator, apps, clients = make_cluster()
         session_id, reference = run_flow(coordinator)
-        coordinator.replicator.flush()
+        coordinator.reconciler.run_pass()
         session = coordinator._session(session_id)
         old_primary = session.primary
         clients[old_primary].down = True
         coordinator.health.record_failure(old_primary)
         coordinator.health.record_failure(old_primary)
         assert not coordinator.health.is_up(old_primary)
-        report = coordinator.repairer.run_round()
+        report = coordinator.reconciler.repair()
         assert report.unverified >= 1  # the dead shard's pairs
         status, text, _ = coordinator.handle(
             "GET", f"/sessions/{session_id}/candidates",

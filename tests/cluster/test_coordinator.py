@@ -147,7 +147,7 @@ class TestFailover:
         secondary = next(
             s for s in session.replicas if s != session.primary
         )
-        assert coordinator.replicator.pending() > 0  # not yet shipped
+        assert coordinator.reconciler.pending() > 0  # not yet shipped
 
         clients[session.primary].down = True
         open_breaker(coordinator, session.primary)
@@ -162,8 +162,8 @@ class TestFailover:
     def test_warm_replica_needs_no_restore(self, make_cluster):
         coordinator, apps, clients = make_cluster()
         session_id, before = run_flow(coordinator)
-        coordinator.replicator.flush()
-        assert coordinator.replicator.pending() == 0
+        coordinator.reconciler.run_pass()
+        assert coordinator.reconciler.pending() == 0
         session = coordinator._session(session_id)
         secondary = next(
             s for s in session.replicas if s != session.primary
@@ -200,6 +200,45 @@ class TestFailover:
         assert status == 200, body
         assert body["applied"] is True
         assert (2, 0) in session.cells
+
+    def test_a_lost_reply_does_not_leave_an_unaccepted_cell(
+        self, make_cluster
+    ):
+        """The primary applies a write but its reply is lost and no
+        replica can take over: the write is refused, and the primary is
+        re-seated from the journaled grid before it serves again."""
+        from repro.exceptions import ShardUnavailableError
+
+        coordinator, _apps, clients = make_cluster()
+        session_id, _before = run_flow(coordinator)
+        coordinator.reconciler.run_pass()
+        session = coordinator._session(session_id)
+        primary = session.primary
+        for shard in session.replicas:
+            if shard != primary:
+                clients[shard].down = True
+                open_breaker(coordinator, shard)
+        client = clients[primary]
+        applied = client.call
+
+        def lose_reply(method, path, query=None, body=None):
+            applied(method, path, query, body)
+            raise ShardUnavailableError(primary, "reply lost")
+
+        client.call = lose_reply
+        status, body, _ = coordinator.handle(
+            "POST", f"/sessions/{session_id}/cells", {},
+            {"row": 2, "column": 0, "value": "Titanic"},
+        )
+        client.call = applied
+        assert status == 503, body
+        assert (2, 0) not in session.cells
+        assert primary not in session.synced
+        status, text, _ = coordinator.handle(
+            "GET", f"/sessions/{session_id}", {}, None
+        )
+        assert status == 200, text
+        assert json.loads(text)["samples"] == len(FLOW_CELLS)
 
     def test_every_replica_down_is_503_shard_down_not_500(
         self, make_cluster
@@ -271,8 +310,9 @@ class TestReplication:
     def test_flush_ships_the_grid_to_every_replica(self, make_cluster):
         coordinator, apps, _clients = make_cluster()
         session_id, _top = run_flow(coordinator)
-        coordinator.replicator.flush()
+        coordinator.reconciler.run_pass()
         session = coordinator._session(session_id)
+        assert session.synced == set(session.replicas)
         for shard in session.replicas:
             assert session_id in apps[shard].sessions.ids()
 
@@ -284,18 +324,22 @@ class TestReplication:
             s for s in session.replicas if s != session.primary
         )
         clients[secondary].down = True
-        coordinator.replicator.flush()
-        # Could not ship: the session stays pending for the next sweep.
-        assert coordinator.replicator.pending() == 1
+        coordinator.reconciler.run_pass()
+        # Could not ship: the session stays pending for the next pass.
+        assert coordinator.reconciler.pending() == 1
+        assert secondary not in session.synced
         clients[secondary].down = False
-        coordinator.replicator.flush()
-        assert coordinator.replicator.pending() == 0
+        coordinator.reconciler.run_pass()
+        assert coordinator.reconciler.pending() == 0
+        assert secondary in session.synced
 
     def test_unapplied_inputs_are_not_replicated(self, make_cluster):
         coordinator, _apps, _clients = make_cluster()
         session_id, _top = run_flow(coordinator)
+        coordinator.reconciler.run_pass()
         session = coordinator._session(session_id)
         cells_before = dict(session.cells)
+        synced_before = set(session.synced)
         status, body, _ = coordinator.handle(
             "POST", f"/sessions/{session_id}/cells", {},
             {"row": 2, "column": 0, "value": "No Such Movie Anywhere"},
@@ -303,6 +347,10 @@ class TestReplication:
         assert status == 200, body
         assert body["applied"] is False
         assert session.cells == cells_before
+        # Nothing changed, so every replica still holds the grid and
+        # nothing is queued for shipping.
+        assert session.synced == synced_before
+        assert coordinator.reconciler.pending() == 0
 
 
 class TestLocate:

@@ -6,7 +6,7 @@ R=2, losing two shards without repair in between would lose every
 session whose replica set was exactly those two shards.  Here a
 :class:`ShardSupervisor` respawns the first victim (same port, via
 ``pinned_args``), the heartbeat half-open path re-admits it, and the
-anti-entropy repairer reseats its sessions from the coordinator's
+reconciler's digest scan reseats its sessions from the coordinator's
 journal — so the second ``kill -9`` still loses zero accepted state.
 """
 

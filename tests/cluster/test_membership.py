@@ -1,4 +1,4 @@
-"""Tests for live membership change: join, decommission, rebalance."""
+"""Tests for live membership change: join, decommission, reconcile."""
 
 from __future__ import annotations
 
@@ -7,15 +7,15 @@ import json
 from tests.cluster.conftest import run_flow
 
 
-def drain_rebalance(coordinator, max_sweeps: int = 64) -> int:
-    """Run bounded sweeps until the backlog clears; returns moves."""
-    moved = 0
-    for _ in range(max_sweeps):
-        moved += coordinator.rebalancer.run_once()
-        if coordinator.rebalancer.pending() == 0:
+def drain_rebalance(coordinator, max_passes: int = 64) -> int:
+    """Run reconcile passes until the backlog clears; returns ships."""
+    ships = 0
+    for _ in range(max_passes):
+        ships += coordinator.reconciler.run_pass()
+        if coordinator.reconciler.pending() == 0:
             break
-    assert coordinator.rebalancer.pending() == 0, "rebalance never drained"
-    return moved
+    assert coordinator.reconciler.pending() == 0, "reconcile never drained"
+    return ships
 
 
 class TestJoin:
@@ -52,13 +52,13 @@ class TestJoin:
     def test_sessions_survive_a_join_with_rebalance(self, make_cluster):
         coordinator, _, _ = make_cluster(n_shards=2)
         flows = [run_flow(coordinator) for _ in range(4)]
-        coordinator.replicator.flush()
+        coordinator.reconciler.run_pass()
         status, _, _ = coordinator.handle(
             "POST", "/admin/shards", {}, {"address": "127.0.0.1:9200"}
         )
         assert status == 201
         drain_rebalance(coordinator)
-        coordinator.replicator.flush()
+        coordinator.reconciler.run_pass()
         # Every session is placed on the new ring and still answers
         # the converged candidate it answered before the join.
         for session_id, reference in flows:
@@ -73,7 +73,7 @@ class TestJoin:
                 json.loads(text)["candidates"][0]["mapping"]
                 == reference["candidates"][0]["mapping"]
             )
-        assert coordinator.repairer.run_round().converged
+        assert coordinator.reconciler.repair().converged
 
     def test_new_sessions_can_land_on_the_joined_shard(self, make_cluster):
         coordinator, _, _ = make_cluster(n_shards=2)
@@ -96,7 +96,7 @@ class TestDecommission:
     ):
         coordinator, _, clients = make_cluster(n_shards=3)
         flows = [run_flow(coordinator) for _ in range(4)]
-        coordinator.replicator.flush()
+        coordinator.reconciler.run_pass()
         victim = "127.0.0.1:9100"
         status, body, _ = coordinator.handle(
             "DELETE", f"/admin/shards/{victim}", {}, None
@@ -110,7 +110,7 @@ class TestDecommission:
         assert victim not in coordinator.health.shards()
         assert victim not in coordinator.clients
         assert coordinator._decommissioning == set()
-        coordinator.replicator.flush()
+        coordinator.reconciler.run_pass()
         for session_id, reference in flows:
             session = coordinator._session(session_id)
             assert victim not in session.replicas
@@ -124,7 +124,7 @@ class TestDecommission:
                 json.loads(text)["candidates"][0]["mapping"]
                 == reference["candidates"][0]["mapping"]
             )
-        assert coordinator.repairer.run_round().converged
+        assert coordinator.reconciler.repair().converged
 
     def test_decommission_unknown_and_last_shard_are_refused(
         self, make_cluster
@@ -143,7 +143,7 @@ class TestDecommission:
     def test_decommission_is_idempotent_while_draining(self, make_cluster):
         coordinator, _, _ = make_cluster(n_shards=3)
         run_flow(coordinator)
-        coordinator.replicator.flush()
+        coordinator.reconciler.run_pass()
         # Decommission a shard some session actually references, so the
         # drain stays pending across the repeated call.
         session = next(iter(coordinator._sessions.values()))
@@ -184,10 +184,10 @@ class TestDecommission:
         )
         coordinator.handle("DELETE", f"/admin/shards/{victim}", {}, None)
         clients[survivor].down = True
-        coordinator.rebalancer.run_once()
+        coordinator.reconciler.run_pass()
         # The move could not land anywhere: placement stays put and the
         # session remains queued instead of advancing past the data.
-        assert coordinator.rebalancer.pending() >= 1
+        assert coordinator.reconciler.pending() >= 1
         assert coordinator._session(session_id).primary == victim
         clients[survivor].down = False
         drain_rebalance(coordinator)
@@ -207,7 +207,7 @@ class TestAdminSurface:
         assert not any(
             entry["decommissioning"] for entry in body["shards"]
         )
-        assert body["rebalance"]["pending"] == 0
+        assert body["pending"] == 0
         assert body["repair"]["enabled"] is True
 
     def test_healthz_shows_membership_and_rebalance(self, make_cluster):
@@ -219,4 +219,4 @@ class TestAdminSurface:
         assert status == 200
         assert body["membership"]["changes"] == 1
         assert victim in body["membership"]["decommissioning"]
-        assert body["rebalance"]["pending"] >= 1
+        assert body["pending"] >= 1

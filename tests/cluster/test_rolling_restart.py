@@ -75,7 +75,7 @@ def _wait_healed(host, port, n_shards, rounds_after, deadline_s=60.0):
             health["shards_up"] == n_shards
             and repair["rounds"] > rounds_after
             and repair["converged"]
-            and health["rebalance"]["pending"] == 0
+            and health["pending"] == 0
         ):
             return health
         assert time.monotonic() < deadline, f"never healed: {health}"
@@ -208,7 +208,7 @@ def test_live_join_and_decommission_under_real_processes(tmp_path):
             assert status == 200
             if (
                 not health["membership"]["decommissioning"]
-                and health["rebalance"]["pending"] == 0
+                and health["pending"] == 0
             ):
                 break
             assert time.monotonic() < deadline, (
