@@ -1,23 +1,24 @@
 """Wall / CPU / memory accounting for benchmark runs.
 
-The regression observatory (:mod:`repro.bench.regress`) compares bench
-runs across commits, which needs more than a stopwatch: a perf
-regression can show up as CPU time (algorithmic), wall time (blocking),
-or peak memory (a level blowing up).  :func:`measure` captures all
-three around a callable using only the stdlib:
+The paper table and figure benchmarks (``benchmarks/``, through
+:func:`repro.bench.harness.run_tpw_search`) can account a search by
+more than a stopwatch: a slowdown can show up as CPU time
+(algorithmic), wall time (blocking), or peak memory (a level blowing
+up).  :func:`measure` captures all three around a callable using only
+the stdlib:
 
 * wall seconds — ``time.perf_counter``;
 * CPU seconds — ``time.process_time`` (user + system, all threads);
 * Python allocation peak — ``tracemalloc`` (deterministic, per-block,
-  so it is the noise-free memory signal for thresholds);
+  so it is the noise-free memory signal);
 * process peak RSS — ``resource.getrusage(RUSAGE_SELF).ru_maxrss``
-  (high-water mark, monotone over the process lifetime — reported for
-  context, not thresholded, since earlier work in the same process
-  inflates it).
+  (high-water mark, monotone over the process lifetime — context only,
+  since earlier work in the same process inflates it).
 
 ``tracemalloc`` slows allocation-heavy code down noticeably, so
-:func:`measure` takes ``trace_memory=False`` for timing-only reps and
-the regression tool measures timing reps and one memory rep separately.
+:func:`measure` takes ``trace_memory=False`` for timing-only runs.
+The repository benchmark with gated bounds is ``perfbench/run.py``
+(see ``BENCHMARK.json``).
 """
 
 from __future__ import annotations
@@ -107,24 +108,3 @@ def measure(
         value=value,
     )
 
-
-def measure_min(
-    fn: Callable[[], Any], *, reps: int
-) -> tuple[ResourceUsage, ResourceUsage]:
-    """``reps`` timing runs plus one memory run of ``fn``.
-
-    Returns ``(timing, memory)``: ``timing`` is the rep with the
-    minimum wall time (the standard low-noise estimator — the minimum
-    is the run least disturbed by the machine), measured *without*
-    memory tracing; ``memory`` is one additional run under
-    :mod:`tracemalloc` for the allocation peak.
-    """
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
-    best: ResourceUsage | None = None
-    for _ in range(reps):
-        usage = measure(fn)
-        if best is None or usage.wall_s < best.wall_s:
-            best = usage
-    assert best is not None
-    return best, measure(fn, trace_memory=True)

@@ -74,6 +74,7 @@ from repro.service.validation import (
     as_int,
     column_names,
     require,
+    route_template,
     served_dataset,
 )
 
@@ -312,7 +313,7 @@ class CoordinatorApp:
         """Route one request; never raises — failures become statuses."""
         query = query or {}
         parts = tuple(part for part in path.split("/") if part)
-        route = self._route_template(method, parts)
+        route = route_template(method, parts)
         tracer = get_tracer()
         with tracer.span(
             "cluster.request", method=method, route=route
@@ -382,16 +383,6 @@ class CoordinatorApp:
             "repro.cluster.request.seconds"
         ).observe(elapsed)
         return status, payload, headers
-
-    @staticmethod
-    def _route_template(method: str, parts: tuple[str, ...]) -> str:
-        if parts and parts[0] == "sessions" and len(parts) >= 2:
-            tail = "/".join(parts[2:])
-            suffix = f"/{tail}" if tail else ""
-            return f"{method} /sessions/{{id}}{suffix}"
-        if len(parts) == 3 and parts[:2] == ("admin", "shards"):
-            return f"{method} /admin/shards/{{address}}"
-        return f"{method} /{'/'.join(parts)}"
 
     def _dispatch(
         self,

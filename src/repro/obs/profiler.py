@@ -10,8 +10,8 @@ Costs are what make it viable always-on: one pass over the frame dict
 per tick (no tracing hooks, no per-call overhead — code under profile
 runs at full speed between ticks), aggregation into a bounded dict of
 folded-stack counters.  At the default ~97 Hz the sampler itself
-typically burns well under 1% of one core; the bench observatory's
-``--obs`` workload measures the real number for this codebase.
+typically burns well under 1% of one core; the served workloads of
+``perfbench/run.py`` run with it on, so their numbers include its cost.
 
 The sampler excludes its own thread, and can exclude others (the HTTP
 acceptor, metrics pollers) by registered thread id.  ``hz`` defaults to

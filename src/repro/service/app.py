@@ -102,6 +102,7 @@ from repro.service.validation import (
     as_int,
     column_names,
     require,
+    route_template,
     served_dataset,
 )
 from repro.service.workers import WorkerPool
@@ -382,7 +383,7 @@ class ServiceApp:
         """Route one request; never raises — failures become statuses."""
         query = query or {}
         parts = tuple(part for part in path.split("/") if part)
-        route = self._route_template(method, parts)
+        route = route_template(method, parts)
         request_id = self.recorder.next_id() if self.recorder else None
         epoch = time.time()
         tracer = get_tracer()
@@ -474,21 +475,6 @@ class ServiceApp:
         if request_id is not None:
             headers = {**headers, "X-Request-Id": request_id}
         return status, payload, headers
-
-    @staticmethod
-    def _route_template(method: str, parts: tuple[str, ...]) -> str:
-        """Low-cardinality route label (session ids collapsed)."""
-        if parts[:2] == ("admin", "sessions") and len(parts) >= 3:
-            tail = "/".join(parts[3:])
-            suffix = f"/{tail}" if tail else ""
-            return f"{method} /admin/sessions/{{id}}{suffix}"
-        if parts and parts[0] == "sessions" and len(parts) >= 2:
-            tail = "/".join(parts[2:])
-            suffix = f"/{tail}" if tail else ""
-            return f"{method} /sessions/{{id}}{suffix}"
-        if parts[:2] == ("debug", "requests") and len(parts) >= 3:
-            return f"{method} /debug/requests/{{id}}"
-        return f"{method} /{'/'.join(parts)}"
 
     def _dispatch(
         self,

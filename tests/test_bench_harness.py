@@ -9,6 +9,7 @@ from repro.bench.harness import (
     sample_tuple_for,
 )
 from repro.bench.reporting import ascii_series, format_table, write_result
+from repro.bench.resources import measure
 from repro.core.stats import SearchStats
 from repro.datasets.workload import build_task_sets
 
@@ -180,3 +181,24 @@ class TestStatsHelpers:
         text = stats.describe()
         assert "pairwise mapping paths: 4" in text
         assert "total=10.0ms" in text
+
+
+class TestResources:
+    def test_measure_accounts_wall_and_cpu(self):
+        usage = measure(lambda: sum(range(200_000)))
+        assert usage.wall_s > 0
+        assert usage.cpu_s > 0
+        assert usage.value == sum(range(200_000))
+        assert usage.py_peak_bytes == 0  # tracing off by default
+
+    def test_measure_traces_python_peak(self):
+        usage = measure(lambda: [bytearray(64) for _ in range(2_000)],
+                        trace_memory=True)
+        assert usage.py_peak_bytes > 100_000
+
+    def test_to_dict_drops_the_value(self):
+        usage = measure(lambda: "payload")
+        payload = usage.to_dict()
+        assert set(payload) == {
+            "wall_s", "cpu_s", "py_peak_bytes", "rss_peak_bytes"
+        }
