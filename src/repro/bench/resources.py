@@ -64,15 +64,6 @@ class ResourceUsage:
     #: Whatever the measured callable returned.
     value: Any = None
 
-    def to_dict(self) -> dict[str, float | int]:
-        """JSON-friendly view (without the carried return value)."""
-        return {
-            "wall_s": self.wall_s,
-            "cpu_s": self.cpu_s,
-            "py_peak_bytes": self.py_peak_bytes,
-            "rss_peak_bytes": self.rss_peak_bytes,
-        }
-
 
 def measure(
     fn: Callable[[], Any], *, trace_memory: bool = False

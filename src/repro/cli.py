@@ -251,12 +251,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             default_columns=columns,
             journal_dir=args.journal_dir,
             search_deadline_s=args.search_deadline,
-            isolation=args.isolation,
-            procs=args.procs,
-            kill_grace=args.kill_grace,
-            worker_memory_mb=args.worker_memory_mb,
-            recycle_requests=args.recycle_requests,
-            recycle_growth_mb=args.recycle_growth_mb,
             drain_timeout_s=args.drain_timeout,
             shed_factor=args.shed_factor,
             slo_latency_s=args.slo_latency,
@@ -295,13 +289,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         f"workers: {config.workers}  queue: {config.queue_size}  "
         f"sessions: <= {config.max_sessions} (ttl {config.session_ttl_s:g}s)"
     )
-    if config.isolation == "process":
-        print(
-            f"isolation: process  procs: {config.effective_procs}  "
-            f"kill after: {config.effective_kill_after_s:g}s  "
-            f"memory: "
-            f"{config.worker_memory_mb or 'unlimited'} MiB/worker"
-        )
     if config.journal_dir:
         print(
             f"journal: {app.journal.path} "
@@ -317,11 +304,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     print("Ctrl-C or SIGTERM to drain and stop.")
 
-    # Graceful drain is the default shutdown path for BOTH isolation
-    # modes: the handler only flips an event and hands off to a thread
-    # (signal handlers must not block), the drain stops admission,
-    # finishes in-flight requests, flushes the journal, and unblocks
-    # serve_forever — so the process exits 0 with nothing torn.
+    # Graceful drain is the default shutdown path: the handler only
+    # flips an event and hands off to a thread (signal handlers must not
+    # block), the drain stops admission, finishes in-flight requests,
+    # flushes the journal, and unblocks serve_forever — so the process
+    # exits 0 with nothing torn.
     drain_started = threading.Event()
     drain_thread: list[threading.Thread] = []
 
@@ -620,21 +607,10 @@ def _render_top_frame(
             f"latency (since boot): p50 {1000 * p50:.1f} ms  "
             f"p95 {1000 * p95:.1f} ms"
         )
-    mode = isolation.get("mode", "?")
-    workers = isolation.get("workers", "?")
-    if isinstance(workers, list):
-        # Process mode: healthz ships per-worker dicts, not counts.
-        busy = sum(
-            1 for worker in workers if worker.get("state") == "busy"
-        )
-        workers = isolation.get("alive", len(workers))
-    else:
-        busy = isolation.get("busy", isolation.get("outstanding", "?"))
-    queue_depth = isolation.get(
-        "queue_depth", isolation.get("queued", "?")
-    )
     lines.append(
-        f"workers [{mode}]: {busy}/{workers} busy  queue {queue_depth}"
+        f"workers [{isolation.get('mode', '?')}]: "
+        f"{isolation.get('busy', '?')}/{isolation.get('workers', '?')} "
+        f"busy  queue {isolation.get('queue_depth', '?')}"
     )
     admission = health.get("admission") or {}
     if admission:
@@ -806,36 +782,6 @@ def _add_service_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--location-cache", type=int, default=4096,
                        metavar="ENTRIES",
                        help="cross-session LocateSample LRU size (0 = off)")
-    parser.add_argument(
-        "--isolation", choices=("thread", "process"), default="thread",
-        help="worker isolation: 'thread' (in-process pool, the default) "
-             "or 'process' (supervised worker processes with hard "
-             "SIGKILL deadlines and memory ceilings)",
-    )
-    parser.add_argument(
-        "--procs", type=int, default=0, metavar="N",
-        help="worker processes for --isolation=process "
-             "(0 = same as --workers)",
-    )
-    parser.add_argument(
-        "--kill-grace", type=float, default=2.0, metavar="FACTOR",
-        help="hard-kill a process-mode job after the search deadline "
-             "times this factor (>= 1.0)",
-    )
-    parser.add_argument(
-        "--worker-memory-mb", type=int, default=0, metavar="MB",
-        help="address-space ceiling per worker process via setrlimit "
-             "(0 = unlimited)",
-    )
-    parser.add_argument(
-        "--recycle-requests", type=int, default=0, metavar="N",
-        help="recycle a worker process after N requests (0 = never)",
-    )
-    parser.add_argument(
-        "--recycle-growth-mb", type=int, default=0, metavar="MB",
-        help="recycle a worker process after MB of RSS growth "
-             "(0 = never)",
-    )
     parser.add_argument(
         "--drain-timeout", type=float, default=10.0, metavar="SECONDS",
         help="graceful-drain budget for in-flight requests on "

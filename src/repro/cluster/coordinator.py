@@ -51,12 +51,9 @@ from typing import Any
 
 from repro import obs
 from repro.exceptions import (
-    CircuitOpenError,
-    DeadlineExceeded,
     ReproError,
     ServiceOverloadedError,
     ServiceUnavailableError,
-    SessionError,
     ShardUnavailableError,
     UnknownSessionError,
 )
@@ -71,16 +68,16 @@ from repro.resilience import Degradation, SessionJournal, replay_journal
 from repro.service.retry_after import retry_after_header
 from repro.service.validation import (
     BadRequest,
+    Response,
     as_int,
     column_names,
+    error_response,
     require,
     route_template,
     served_dataset,
 )
 
 _log = get_logger(__name__)
-
-Response = tuple[int, "dict[str, Any] | str | None", "dict[str, str]"]
 
 #: Reply headers worth forwarding to the client on passthrough.
 _FORWARD_HEADERS = ("Content-Type", "Retry-After", "X-Request-Id")
@@ -326,44 +323,8 @@ class CoordinatorApp:
                     status, payload, headers = self._dispatch(
                         method, parts, query, body
                     )
-                except BadRequest as error:
-                    status, payload, headers = 400, {"error": str(error)}, {}
-                except UnknownSessionError as error:
-                    status, payload, headers = 404, {"error": str(error)}, {}
-                except ServiceOverloadedError as error:
-                    status = 429
-                    payload = {"error": str(error),
-                               "retry_after_s": error.retry_after_s}
-                    headers = {
-                        "Retry-After": retry_after_header(
-                            error.retry_after_s
-                        )
-                    }
-                except ServiceUnavailableError as error:
-                    status = 503
-                    payload = {"error": str(error),
-                               "reason": error.reason,
-                               "retry_after_s": error.retry_after_s}
-                    headers = {
-                        "Retry-After": retry_after_header(
-                            error.retry_after_s
-                        )
-                    }
-                except CircuitOpenError as error:
-                    status = 503
-                    payload = {"error": str(error),
-                               "retry_after_s": error.retry_after_s}
-                    headers = {
-                        "Retry-After": retry_after_header(
-                            error.retry_after_s
-                        )
-                    }
-                except DeadlineExceeded as error:
-                    status, payload, headers = 504, {"error": str(error)}, {}
-                except SessionError as error:
-                    status, payload, headers = 400, {"error": str(error)}, {}
-                except ReproError as error:
-                    status, payload, headers = 400, {"error": str(error)}, {}
+                except (BadRequest, ReproError) as error:
+                    status, payload, headers = error_response(error)
                 except Exception as error:  # noqa: BLE001 - 500 boundary
                     _log.exception("unhandled coordinator error")
                     status = 500

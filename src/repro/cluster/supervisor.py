@@ -8,8 +8,7 @@ operators did that by hand.  :class:`ShardSupervisor` closes the loop:
    is polled; a child that exited is detected on the next poll.
 2. **Respawn** — the child is relaunched with the same args pinned to
    the same port (:meth:`ServerProcess.pinned_args`), after a seeded
-   jittered exponential backoff
-   (:func:`repro.resilience.isolation.backoff_delay`) keyed on the
+   jittered exponential backoff (:func:`backoff_delay`) keyed on the
    shard's consecutive-failure count.  A crash-looping shard backs off
    to the 2 s cap instead of burning CPU in a respawn storm; a shard
    that comes back cleanly resets its counter.
@@ -35,9 +34,25 @@ from typing import Any
 
 from repro.cluster.spawn import ServerProcess
 from repro.obs import get_logger, get_metrics
-from repro.resilience.isolation import backoff_delay
 
 _log = get_logger(__name__)
+
+#: Respawn backoff: ``min(cap, base * 2**failures)`` with ±50% jitter.
+_BACKOFF_BASE_S = 0.05
+_BACKOFF_CAP_S = 2.0
+
+
+def backoff_delay(failures: int, rng: random.Random) -> float:
+    """The jittered respawn delay after ``failures`` consecutive failures.
+
+    Exponential (``base * 2**failures``) capped at :data:`_BACKOFF_CAP_S`,
+    then spread uniformly over [0.5x, 1.5x] so a fleet of restarting
+    shards does not re-collide.  The RNG is a parameter so chaos tests
+    can seed it and assert exact schedules instead of sleeping through
+    random backoff.
+    """
+    delay = min(_BACKOFF_CAP_S, _BACKOFF_BASE_S * (2 ** max(0, failures)))
+    return delay * (0.5 + rng.random())
 
 
 @dataclass

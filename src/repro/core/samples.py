@@ -75,8 +75,8 @@ class Spreadsheet:
     def cells(self) -> dict[tuple[int, int], str]:
         """A copy of the grid: ``(row, column) -> sample``.
 
-        The serialized form the journal and the process-isolation
-        workers exchange; feeding it back through
+        The serialized form the journal and the cluster's replica
+        shipping use; feeding it back through
         :meth:`~repro.core.session.MappingSession.load_cells` rebuilds
         an identical session.
         """

@@ -183,12 +183,11 @@ class ServiceUnavailableError(ServiceError):
 
     Raised on the fail-fast paths that must *not* look like crashes:
     admission-control load shedding (the estimated queue wait exceeds
-    the request deadline), a draining server (SIGTERM received, no new
-    work accepted), and a request whose isolated worker process was
-    hard-killed twice (blown deadline × grace, OOM).  The HTTP layer
-    maps this to ``503 Service Unavailable`` with a ``Retry-After``
-    hint; ``reason`` is a low-cardinality label (``shed`` / ``drain`` /
-    ``worker_killed``) for metrics and clients.
+    the request deadline) and a draining server (SIGTERM received, no
+    new work accepted).  The HTTP layer maps this to ``503 Service
+    Unavailable`` with a ``Retry-After`` hint; ``reason`` is a
+    low-cardinality label (``shed`` / ``drain``, and ``shard_down`` on
+    the cluster coordinator) for metrics and clients.
     """
 
     def __init__(
@@ -202,21 +201,6 @@ class ServiceUnavailableError(ServiceError):
         self.what = what
         self.retry_after_s = retry_after_s
         self.reason = reason
-
-
-class WorkerCrashError(ServiceError):
-    """An isolated worker process died while running a request.
-
-    Internal to the process pool: the supervisor turns the *first*
-    crash into a requeue and only the second into a client-visible
-    :class:`ServiceUnavailableError`.  ``kind`` records why the worker
-    died (``deadline_kill`` / ``oom`` / ``crash``).
-    """
-
-    def __init__(self, what: str, *, kind: str = "crash") -> None:
-        super().__init__(f"worker {kind}: {what}")
-        self.what = what
-        self.kind = kind
 
 
 class ShardUnavailableError(ServiceError):

@@ -104,10 +104,10 @@ def _restore_one(record: dict[str, Any]) -> Span:
 def records_to_spans(records: Iterable[dict[str, Any]]) -> list[Span]:
     """Rebuild root :class:`Span` trees from ``kind=span`` record dicts.
 
-    The exact inverse of :func:`span_records`, minus the JSON framing —
-    this is the transport the isolation worker pool uses to ship span
-    trees over its pipe (records travel as pickled dicts, no text
-    round-trip).  Raises ``ValueError`` on a dangling parent id.
+    The exact inverse of :func:`span_records`, minus the JSON framing:
+    ``/debug/requests/{id}`` ships a request's spans as these records,
+    and this rebuilds the trees on the reading side.  Raises
+    ``ValueError`` on a dangling parent id.
     """
     roots: list[Span] = []
     by_id: dict[tuple[int, int], Span] = {}

@@ -3,11 +3,10 @@
 When something goes wrong in production the trace you want is the one
 you didn't think to collect.  The recorder keeps the last N request
 traces in memory — and *pins* the interesting ones (slow, degraded,
-errored, worker-killed) in a separate ring so a burst of healthy
-traffic can't evict the request you're hunting.  ``GET
-/debug/requests`` lists what's on board; ``GET /debug/requests/{id}``
-returns one request's full span records (the
-:func:`repro.obs.export.span_records` shape, ready for
+errored) in a separate ring so a burst of healthy traffic can't evict
+the request you're hunting.  ``GET /debug/requests`` lists what's on
+board; ``GET /debug/requests/{id}`` returns one request's full span
+records (the :func:`repro.obs.export.span_records` shape, ready for
 ``records_to_spans`` / ``render_tree`` / explain).
 
 Records hold live :class:`~repro.obs.tracer.Span` objects and
@@ -118,11 +117,10 @@ class FlightRecorder:
     ) -> RequestRecord:
         """File one finished request; returns the stored record.
 
-        ``reasons`` carries caller-side verdicts ("degraded",
-        "worker_killed"); the recorder adds its own "slow" (duration
-        over ``slow_s``) and "error" (status >= 500 or an errored
-        span) verdicts.  Any reason marks the record interesting and
-        pins it in the interesting ring.
+        ``reasons`` carries caller-side verdicts ("degraded"); the
+        recorder adds its own "slow" (duration over ``slow_s``) and
+        "error" (status >= 500 or an errored span) verdicts.  Any reason
+        marks the record interesting and pins it in the interesting ring.
         """
         verdicts = list(reasons)
         if duration_s > self.slow_s:

@@ -57,14 +57,13 @@ nest under the adopted parent.  Only one thread may adopt a given span
 at a time (the service's worker pool guarantees this by running each
 request's work on exactly one worker).
 
-Cross-*process* parentage: a worker **process** has its own tracer, so
+Cross-*process* parentage: another process has its own tracer, so
 ``adopt`` cannot reach it.  :meth:`Tracer.graft` is the remote half of
-the same idea — the worker records spans locally, serializes the
-finished trees over its pipe (see
-:func:`repro.obs.export.span_records`), and the request thread grafts
-the rebuilt trees under its open request span.  Spans carry wall-clock
-epochs (:attr:`Span.start_epoch`) precisely so trees stitched from
-different processes still order correctly.
+the same idea — the remote side records spans locally and ships the
+finished trees (see :func:`repro.obs.export.span_records`), and the
+receiving thread grafts the rebuilt trees under its open span.  Spans
+carry wall-clock epochs (:attr:`Span.start_epoch`) precisely so trees
+stitched from different processes still order correctly.
 """
 
 from __future__ import annotations
@@ -317,12 +316,13 @@ class Tracer:
         a deserialized trace — into this thread's current position.
 
         Where :meth:`adopt` bridges threads sharing one tracer, ``graft``
-        bridges *tracers*: the isolation worker pool serializes the span
-        trees a worker process recorded and the request thread grafts
-        them under its open ``service.request`` span, so a process-mode
-        search yields the same single stitched trace thread mode does.
-        With no span open the trees become roots (they are already
-        finished, so they go straight to :attr:`finished`).
+        bridges *tracers*: span trees recorded in another process (say a
+        cluster shard's request tree, rebuilt with
+        :func:`repro.obs.export.records_to_spans`) land under the span
+        open on this thread, so a request that crossed processes still
+        yields one stitched trace.  With no span open the trees become
+        roots (they are already finished, so they go straight to
+        :attr:`finished`).
         """
         if not spans:
             return

@@ -21,10 +21,6 @@ flaky backends and process crashes:
 * :mod:`repro.resilience.journal` — an append-only per-session journal
   of cell inputs so ``mweaver serve`` recovers every live session after
   a crash or restart.
-* :mod:`repro.resilience.isolation` — the *non-cooperative* backstop: a
-  supervised subprocess worker pool with hard SIGKILL deadlines, memory
-  ceilings, worker recycling and requeue-once crash semantics, opted
-  into via ``mweaver serve --isolation=process``.
 
 Everything is zero-cost when unused: the default budget is a shared
 no-op, fault points are a single module-global read, and journaling is
@@ -50,14 +46,6 @@ from repro.resilience.faults import (
     active_injector,
     fault_point,
     partial_point,
-)
-from repro.resilience.isolation import (
-    DIAG_TASKS,
-    IsolationLimits,
-    ProcessWorkerPool,
-    WorkerBootstrap,
-    backoff_delay,
-    snapshot_fault_specs,
 )
 from repro.resilience.journal import (
     JournaledSession,
@@ -88,12 +76,6 @@ __all__ = [
     "RetryPolicy",
     "retry_call",
     "CircuitBreaker",
-    "IsolationLimits",
-    "WorkerBootstrap",
-    "ProcessWorkerPool",
-    "backoff_delay",
-    "DIAG_TASKS",
-    "snapshot_fault_specs",
     "SessionJournal",
     "JournaledSession",
     "replay_journal",

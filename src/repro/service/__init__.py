@@ -14,10 +14,6 @@ spreadsheet UI):
   cooperative cancellation, 429 backpressure),
 * :mod:`repro.service.admission` — latency-aware load shedding (503 +
   ``Retry-After`` before the queue wait can blow the deadline),
-* :mod:`repro.service.remote` / :mod:`repro.service.proctasks` — the
-  parent and worker halves of ``--isolation=process`` mode, where each
-  search runs in a supervised subprocess
-  (:class:`repro.resilience.ProcessWorkerPool`),
 * :mod:`repro.service.app` — transport-independent request handling,
 * :mod:`repro.service.http` — the stdlib ``ThreadingHTTPServer``
   adapter behind ``mweaver serve`` (with SIGTERM graceful drain).
@@ -40,7 +36,6 @@ from repro.service.app import ServiceApp
 from repro.service.config import KNOWN_DATASETS, ServiceConfig
 from repro.service.http import MappingServer, make_server
 from repro.service.registry import DatasetRegistry, LocationCache
-from repro.service.remote import RemoteMappingSession
 from repro.service.retry_after import (
     clamp_retry_after,
     retry_after_header,
@@ -61,7 +56,6 @@ __all__ = [
     "WorkerPool",
     "Job",
     "AdmissionController",
-    "RemoteMappingSession",
     "retry_after_header",
     "clamp_retry_after",
 ]

@@ -66,10 +66,7 @@ from typing import Any
 from repro import obs
 from repro.core.session import MappingSession
 from repro.exceptions import (
-    CircuitOpenError,
-    DeadlineExceeded,
     ReproError,
-    ServiceOverloadedError,
     ServiceUnavailableError,
     SessionError,
     UnknownSessionError,
@@ -81,11 +78,6 @@ from repro.obs.recorder import FlightRecorder
 from repro.obs.slo import SloTracker, default_objectives
 from repro.resilience import NULL_BUDGET, Budget, SessionJournal, replay_journal
 from repro.resilience.journal import grid_digest
-from repro.resilience.isolation import (
-    IsolationLimits,
-    ProcessWorkerPool,
-    WorkerBootstrap,
-)
 from repro.service.admission import AdmissionController
 from repro.service.config import ServiceConfig
 from repro.service.registry import (
@@ -94,13 +86,14 @@ from repro.service.registry import (
     locate_partition,
     normalize_sample,
 )
-from repro.service.remote import RemoteMappingSession
 from repro.service.retry_after import retry_after_header
 from repro.service.sessions import ManagedSession, SessionManager
 from repro.service.validation import (
     BadRequest,
+    Response,
     as_int,
     column_names,
+    error_response,
     require,
     route_template,
     served_dataset,
@@ -108,12 +101,6 @@ from repro.service.validation import (
 from repro.service.workers import WorkerPool
 
 _log = get_logger(__name__)
-
-#: ``(status, body, extra headers)`` — a dict is JSON-encoded by the
-#: transport, a str is served verbatim as ``text/plain`` (the
-#: Prometheus exposition and folded profiles), ``None`` has no body.
-Response = tuple[int, "dict[str, Any] | str | None", "dict[str, str]"]
-
 
 class ServiceApp:
     """One running instance of the mapping service."""
@@ -125,15 +112,11 @@ class ServiceApp:
         registry: DatasetRegistry | None = None,
     ) -> None:
         self.config = (config or ServiceConfig()).validate()
-        self.proc_mode = self.config.isolation == "process"
         self.registry = registry or DatasetRegistry(scale=self.config.scale)
-        if not self.proc_mode:
-            # Process mode never searches in the parent; the datasets
-            # are built inside each worker's bootstrap instead.
-            self.registry.preload(self.config.datasets)
+        self.registry.preload(self.config.datasets)
         self.location_cache = (
             LocationCache(self.config.location_cache_size)
-            if self.config.location_cache_size and not self.proc_mode
+            if self.config.location_cache_size
             else None
         )
         self.journal: SessionJournal | None = None
@@ -150,10 +133,7 @@ class ServiceApp:
             ),
         )
         self.admission = AdmissionController(
-            workers=(
-                self.config.effective_procs if self.proc_mode
-                else self.config.workers
-            ),
+            workers=self.config.workers,
             shed_factor=self.config.shed_factor,
             retry_after_s=self.config.retry_after_s,
         )
@@ -163,38 +143,11 @@ class ServiceApp:
         self._inflight_cond = threading.Condition()
         self._draining = False
         self.drain_report: dict[str, Any] | None = None
-        # The pool comes up before journal recovery: process-mode
-        # recovery replays sessions through the workers themselves.
-        self.pool: WorkerPool | ProcessWorkerPool
-        if self.proc_mode:
-            self.pool = ProcessWorkerPool(
-                procs=self.config.effective_procs,
-                queue_size=self.config.queue_size,
-                bootstrap=WorkerBootstrap(
-                    task_module="repro.service.proctasks",
-                    context={
-                        "datasets": tuple(self.config.datasets),
-                        "scale": self.config.scale,
-                        "location_cache_size": (
-                            self.config.location_cache_size
-                        ),
-                    },
-                    limits=IsolationLimits(
-                        address_space_mb=self.config.worker_memory_mb,
-                        max_requests=self.config.recycle_requests,
-                        max_growth_mb=self.config.recycle_growth_mb,
-                    ),
-                ),
-                kill_grace=self.config.kill_grace,
-                retry_after_s=self.config.retry_after_s,
-            )
-            self.pool.wait_ready()
-        else:
-            self.pool = WorkerPool(
-                workers=self.config.workers,
-                queue_size=self.config.queue_size,
-                retry_after_s=self.config.retry_after_s,
-            )
+        self.pool = WorkerPool(
+            workers=self.config.workers,
+            queue_size=self.config.queue_size,
+            retry_after_s=self.config.retry_after_s,
+        )
         self.recovered_sessions = 0
         if self.journal is not None:
             self._recover_sessions()
@@ -241,7 +194,6 @@ class ServiceApp:
                 managed = self.sessions.create(
                     journaled.dataset, factory, session_id=session_id
                 )
-                self._stamp_remote(managed)
                 try:
                     with managed.lock:
                         managed.session.load_cells(journaled.grid())
@@ -266,15 +218,7 @@ class ServiceApp:
         )
 
     def _session_factory(self, dataset: str, columns, *, on_irrelevant="ignore"):
-        """A mode-appropriate session constructor for ``dataset``."""
-        if self.proc_mode:
-            def factory() -> RemoteMappingSession:
-                return RemoteMappingSession(
-                    [str(c).strip() for c in columns],
-                    on_irrelevant=on_irrelevant,
-                    run_task=self._run_proc_task,
-                )
-            return factory
+        """A session constructor for ``dataset``."""
         db = self.registry.get(dataset)
 
         def factory() -> MappingSession:
@@ -284,21 +228,6 @@ class ServiceApp:
                 location_cache=self.location_cache,
             )
         return factory
-
-    def _stamp_remote(self, managed: ManagedSession) -> None:
-        """Give a remote session its wire identity (process mode only)."""
-        if self.proc_mode:
-            managed.session.session_id = managed.session_id
-            managed.session.dataset = managed.dataset
-
-    def _run_proc_task(self, task: str, payload: dict[str, Any]) -> Any:
-        """One round-trip through the process pool (process mode only)."""
-        assert isinstance(self.pool, ProcessWorkerPool)
-        return self.pool.run(
-            task, payload,
-            timeout_s=self.config.request_timeout_s,
-            kill_after_s=self.config.effective_kill_after_s,
-        )
 
     # ------------------------------------------------------------------
     # Drain / lifecycle
@@ -397,38 +326,8 @@ class ServiceApp:
                 status, payload, headers = self._dispatch(
                     method, parts, query, body
                 )
-            except BadRequest as error:
-                status, payload, headers = 400, {"error": str(error)}, {}
-            except UnknownSessionError as error:
-                status, payload, headers = 404, {"error": str(error)}, {}
-            except ServiceOverloadedError as error:
-                status = 429
-                payload = {"error": str(error),
-                           "retry_after_s": error.retry_after_s}
-                headers = {
-                    "Retry-After": retry_after_header(error.retry_after_s)
-                }
-            except ServiceUnavailableError as error:
-                status = 503
-                payload = {"error": str(error),
-                           "reason": error.reason,
-                           "retry_after_s": error.retry_after_s}
-                headers = {
-                    "Retry-After": retry_after_header(error.retry_after_s)
-                }
-            except CircuitOpenError as error:
-                status = 503
-                payload = {"error": str(error),
-                           "retry_after_s": error.retry_after_s}
-                headers = {
-                    "Retry-After": retry_after_header(error.retry_after_s)
-                }
-            except DeadlineExceeded as error:
-                status, payload, headers = 504, {"error": str(error)}, {}
-            except SessionError as error:
-                status, payload, headers = 400, {"error": str(error)}, {}
-            except ReproError as error:
-                status, payload, headers = 400, {"error": str(error)}, {}
+            except (BadRequest, ReproError) as error:
+                status, payload, headers = error_response(error)
             except Exception as error:  # noqa: BLE001 - the 500 boundary
                 _log.exception("unhandled error on %s %s", method, path)
                 status = 500
@@ -453,11 +352,8 @@ class ServiceApp:
         self.slo.record(error=status >= 500, duration_s=elapsed)
         if self.recorder is not None:
             reasons = []
-            if isinstance(payload, dict):
-                if payload.get("degraded"):
-                    reasons.append("degraded")
-                if payload.get("reason") == "worker_killed":
-                    reasons.append("worker_killed")
+            if isinstance(payload, dict) and payload.get("degraded"):
+                reasons.append("degraded")
             spans: tuple[Any, ...] = ()
             if tracer.enabled:
                 spans = (span,)
@@ -560,7 +456,6 @@ class ServiceApp:
         )
         factory = self._session_factory(dataset, columns)
         managed = self.sessions.create(dataset, factory)
-        self._stamp_remote(managed)
         if self.journal is not None:
             self.journal.record_create(
                 managed.session_id, dataset,
@@ -602,9 +497,6 @@ class ServiceApp:
         self.admission.check(
             self.pool.qsize(), self.config.request_timeout_s
         )
-        if self.proc_mode:
-            return self._put_cell_process(managed, row, column, column_name,
-                                          value)
 
         def work() -> dict[str, Any]:
             budget = Budget(deadline_s=deadline_s) if deadline_s else NULL_BUDGET
@@ -636,48 +528,6 @@ class ServiceApp:
 
         started = time.perf_counter()
         state = self.pool.run(work, timeout_s=self.config.request_timeout_s)
-        self.admission.observe(time.perf_counter() - started)
-        return 200, state, {}
-
-    def _put_cell_process(
-        self,
-        managed: ManagedSession,
-        row: int,
-        column: int | None,
-        column_name: Any,
-        value: str,
-    ) -> Response:
-        """Process-mode cell input: one state-carrying worker job.
-
-        The request thread holds the session lock across the round
-        trip — per-session serialization, cross-session concurrency —
-        while the worker does the search.  The job ships the grid, so
-        it can land on (or be re-queued to) any worker; the reply's
-        state is adopted wholesale and journaled under the same
-        only-what-was-kept rule as thread mode.
-        """
-        session = managed.session
-        started = time.perf_counter()
-        with managed.lock:
-            if column is not None:
-                col_index = column
-            else:
-                col_index = session.spreadsheet.column_index(str(column_name))
-            payload = session.job_payload()
-            payload.update(
-                row=row, column=col_index, value=value,
-                search_deadline_s=self.config.effective_search_deadline_s,
-            )
-            reply = self._run_proc_task("session.input", payload)
-            session.apply_state(reply["state"])
-            if self.journal is not None and reply.get("applied"):
-                self.journal.record_cell(
-                    managed.session_id, row, col_index, value
-                )
-            state = {
-                **self._state(managed),
-                "applied": bool(reply.get("applied")),
-            }
         self.admission.observe(time.perf_counter() - started)
         return 200, state, {}
 
@@ -752,16 +602,6 @@ class ServiceApp:
         self.admission.check(
             self.pool.qsize(), self.config.request_timeout_s
         )
-        if self.proc_mode:
-            with managed.lock:
-                # RemoteMappingSession.suggest runs the worker round
-                # trip itself (via the pool runner it was built with).
-                values = managed.session.suggest(
-                    row, column, prefix, limit=limit
-                )
-            return 200, {
-                "session_id": session_id, "suggestions": values,
-            }, {}
 
         def work() -> list[str]:
             with managed.lock:
@@ -818,7 +658,6 @@ class ServiceApp:
             dataset, list(columns), on_irrelevant=on_irrelevant
         )
         managed = self.sessions.create(dataset, factory, session_id=session_id)
-        self._stamp_remote(managed)
         try:
             with managed.lock:
                 if grid:
@@ -946,11 +785,7 @@ class ServiceApp:
             "search_deadline_s": self.config.effective_search_deadline_s,
             "draining": self._draining,
             "admission": self.admission.snapshot(),
-            "isolation": (
-                {"mode": "process", **self.pool.snapshot()}
-                if self.proc_mode
-                else {"mode": "thread", **self.pool.snapshot()}
-            ),
+            "isolation": {"mode": "thread", **self.pool.snapshot()},
             "slo": self.slo.burn_rates(),
             "recorder": (
                 self.recorder.stats() if self.recorder is not None else None
@@ -1020,26 +855,9 @@ class ServiceApp:
             metrics.gauge("repro.location_cache.size").set(stats["size"])
         if self.journal is not None:
             metrics.gauge("repro.journal.appended").set(self.journal.appended)
-        if self.proc_mode:
-            pool = self.pool.snapshot()
-            metrics.gauge("repro.isolation.queue.depth").set(
-                pool["queue_depth"]
-            )
-            metrics.gauge("repro.isolation.outstanding").set(
-                pool["outstanding"]
-            )
-            metrics.gauge("repro.isolation.workers.alive").set(pool["alive"])
-            busy = sum(
-                1 for worker in pool["workers"]
-                if worker["state"] == "busy"
-            )
-            metrics.gauge("repro.isolation.workers.busy").set(busy)
-        else:
-            pool = self.pool.snapshot()
-            metrics.gauge("repro.service.workers.busy").set(pool["busy"])
-            metrics.gauge("repro.service.queue.depth").set(
-                pool["queue_depth"]
-            )
+        pool = self.pool.snapshot()
+        metrics.gauge("repro.service.workers.busy").set(pool["busy"])
+        metrics.gauge("repro.service.queue.depth").set(pool["queue_depth"])
         if self.recorder is not None:
             recorder = self.recorder.stats()
             metrics.gauge("repro.recorder.recorded").set(recorder["recorded"])

@@ -64,25 +64,6 @@ class ServiceConfig:
     #: Set to 0 to disable the budget entirely (searches run to
     #: completion or the request deadline, whichever comes first).
     search_deadline_s: float | None = None
-    #: Worker isolation mode: ``"thread"`` runs searches on an
-    #: in-process pool (the default, behavior-identical to previous
-    #: releases); ``"process"`` runs each search in a supervised worker
-    #: process that can be SIGKILLed when the cooperative deadline is
-    #: ignored (``mweaver serve --isolation=process``).
-    isolation: str = "thread"
-    #: Worker processes in process mode; 0 borrows ``workers``.
-    procs: int = 0
-    #: Hard-kill grace factor: a process-mode job is SIGKILLed after
-    #: ``effective_search_deadline_s * kill_grace`` (the cooperative
-    #: budget gets first shot, the SIGKILL is the backstop).
-    kill_grace: float = 2.0
-    #: Per-worker address-space ceiling in MiB, enforced inside the
-    #: worker via ``setrlimit(RLIMIT_AS)`` (0 disables).
-    worker_memory_mb: int = 0
-    #: Recycle a worker after serving this many requests (0 disables).
-    recycle_requests: int = 0
-    #: Recycle a worker after this much RSS growth in MiB (0 disables).
-    recycle_growth_mb: int = 0
     #: Seconds graceful drain waits for in-flight work on SIGTERM.
     drain_timeout_s: float = 10.0
     #: Admission control: shed a request with 503 + ``Retry-After`` when
@@ -127,17 +108,6 @@ class ServiceConfig:
         if self.slow_request_s is None:
             return self.slo_latency_s
         return self.slow_request_s
-
-    @property
-    def effective_procs(self) -> int:
-        """Worker-process count in process mode."""
-        return self.procs or self.workers
-
-    @property
-    def effective_kill_after_s(self) -> float:
-        """Wall-clock budget before a process-mode job is SIGKILLed."""
-        base = self.effective_search_deadline_s or self.request_timeout_s
-        return base * self.kill_grace
 
     def validate(self) -> "ServiceConfig":
         """Raise :class:`ServiceConfigError` on any bad knob; return self."""
@@ -187,24 +157,6 @@ class ServiceConfig:
                     "a budget that outlives the request can never degrade "
                     "before the 504"
                 )
-        if self.isolation not in ("thread", "process"):
-            raise ServiceConfigError(
-                f"unknown isolation mode {self.isolation!r} "
-                "(expected thread or process)"
-            )
-        if self.procs < 0:
-            raise ServiceConfigError("procs must be >= 0 (0 uses workers)")
-        if self.kill_grace < 1.0:
-            raise ServiceConfigError(
-                "kill_grace must be >= 1.0 — killing before the "
-                "cooperative deadline would defeat anytime degradation"
-            )
-        if self.worker_memory_mb < 0:
-            raise ServiceConfigError("worker_memory_mb must be >= 0")
-        if self.recycle_requests < 0:
-            raise ServiceConfigError("recycle_requests must be >= 0")
-        if self.recycle_growth_mb < 0:
-            raise ServiceConfigError("recycle_growth_mb must be >= 0")
         if self.drain_timeout_s < 0:
             raise ServiceConfigError("drain_timeout_s must be >= 0")
         if self.shed_factor < 0:

@@ -1,15 +1,30 @@
-"""Request validation and route labels shared by the service and the
-cluster coordinator.
+"""Request validation, error statuses and route labels shared by the
+service and the cluster coordinator.
 
 Both front ends turn a malformed payload into a 400 with a readable
 message: handlers raise :class:`BadRequest`, and the transport-level
-``handle`` maps it to the status.  Both label each request with
+``handle`` maps it, like every other :class:`~repro.exceptions.ReproError`,
+to a status with :func:`error_response`.  Both label each request with
 :func:`route_template`.
 """
 
 from __future__ import annotations
 
 from typing import Any, Sequence
+
+from repro.exceptions import (
+    CircuitOpenError,
+    DeadlineExceeded,
+    ServiceOverloadedError,
+    ServiceUnavailableError,
+    UnknownSessionError,
+)
+from repro.service.retry_after import retry_after_header
+
+#: ``(status, body, extra headers)`` — a dict is JSON-encoded by the
+#: transport, a str is served verbatim as ``text/plain`` (the
+#: Prometheus exposition and folded profiles), ``None`` has no body.
+Response = tuple[int, "dict[str, Any] | str | None", "dict[str, str]"]
 
 
 class BadRequest(Exception):
@@ -86,3 +101,34 @@ def route_template(method: str, parts: tuple[str, ...]) -> str:
     if n == 3 and head == ("debug", "requests"):
         return f"{method} /debug/requests/{{id}}"
     return f"{method} unmatched"
+
+
+def error_response(error: Exception) -> Response:
+    """The response for a request that failed with a known error.
+
+    ``error`` is a :class:`BadRequest` or a
+    :class:`~repro.exceptions.ReproError`: an unknown session is a 404,
+    a missed deadline a 504, a full queue a 429 and a refusal (shed,
+    drain, open breaker) a 503.  Those last two carry ``retry_after_s``
+    and a ``Retry-After`` header.  Every other error is the caller's
+    fault: a 400.  Anything else is a bug, and each front end answers
+    it with its own 500.
+    """
+    body: dict[str, Any] = {"error": str(error)}
+    if isinstance(error, UnknownSessionError):
+        return 404, body, {}
+    if isinstance(error, DeadlineExceeded):
+        return 504, body, {}
+    if isinstance(error, ServiceOverloadedError):
+        status = 429
+    elif isinstance(error, ServiceUnavailableError):
+        status = 503
+        body["reason"] = error.reason
+    elif isinstance(error, CircuitOpenError):
+        status = 503
+    else:
+        return 400, body, {}
+    body["retry_after_s"] = error.retry_after_s
+    return status, body, {
+        "Retry-After": retry_after_header(error.retry_after_s)
+    }

@@ -11,7 +11,7 @@ import random
 import pytest
 
 from repro.cluster import ShardSupervisor
-from repro.resilience.isolation import backoff_delay
+from repro.cluster.supervisor import backoff_delay
 
 
 class FakeProcess:

@@ -4,7 +4,8 @@ Two properties the concurrent service leans on:
 
 * :meth:`Tracer.adopt` lets a worker thread parent its spans under a
   span opened on the request thread, without corrupting either
-  thread's stack.
+  thread's stack; :meth:`Tracer.graft` does the same for finished
+  trees recorded by another tracer.
 * Metrics instruments take a per-instrument lock, so eight threads
   hammering one histogram or counter lose nothing (``+=`` alone is a
   read-modify-write that drops updates under thread switches).
@@ -12,6 +13,7 @@ Two properties the concurrent service leans on:
 
 import threading
 
+from repro.obs.export import records_to_spans, span_records
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NullTracer, Tracer
 from repro.resilience import Budget
@@ -68,6 +70,30 @@ class TestAdopt:
             thread.join()
         assert outcome["inside"] is request
         assert outcome["after"] is None
+
+
+class TestGraft:
+    def test_graft_hangs_rebuilt_trees_under_the_open_span(self):
+        remote = Tracer()
+        with remote.span("shard.request"):
+            with remote.span("session.search"):
+                pass
+        shipped = records_to_spans(span_records(remote.finished))
+        tracer = Tracer()
+        with tracer.span("request") as request:
+            tracer.graft(shipped)
+        (child,) = request.children
+        assert child.name == "shard.request"
+        assert [span.name for span in child.children] == ["session.search"]
+        assert [span.name for span in tracer.finished] == ["request"]
+
+    def test_graft_without_an_open_span_files_roots(self):
+        remote = Tracer()
+        with remote.span("shard.request"):
+            pass
+        tracer = Tracer()
+        tracer.graft(records_to_spans(span_records(remote.finished)))
+        assert [span.name for span in tracer.finished] == ["shard.request"]
 
 
 class TestMetricsContention:

@@ -97,10 +97,10 @@ class TestVerdicts:
         recorder = FlightRecorder(capacity=4)
         record = recorder.record(
             route="POST /cells", status=200, duration_s=0.01, spans=(),
-            reasons=("degraded", "worker_killed"),
+            reasons=("degraded", "shard_down"),
         )
         assert record.interesting
-        assert set(record.reasons) >= {"degraded", "worker_killed"}
+        assert set(record.reasons) >= {"degraded", "shard_down"}
 
     def test_healthy_fast_request_is_not_interesting(self):
         recorder = FlightRecorder(capacity=4, slow_s=1.0)

@@ -34,12 +34,6 @@ class TestValidate:
             ({"location_cache_size": -1}, "location_cache_size"),
             ({"retry_after_s": 0.0}, "retry_after_s"),
             ({"default_columns": ()}, "default_columns"),
-            ({"isolation": "fork"}, "isolation"),
-            ({"procs": -1}, "procs"),
-            ({"kill_grace": 0.5}, "kill_grace"),
-            ({"worker_memory_mb": -1}, "worker_memory_mb"),
-            ({"recycle_requests": -1}, "recycle_requests"),
-            ({"recycle_growth_mb": -1}, "recycle_growth_mb"),
             ({"drain_timeout_s": -1.0}, "drain_timeout_s"),
             ({"shed_factor": -0.1}, "shed_factor"),
         ],
@@ -52,36 +46,6 @@ class TestValidate:
     def test_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
             ServiceConfig().port = 1  # type: ignore[misc]
-
-
-class TestIsolationKnobs:
-    def test_thread_mode_is_the_default(self):
-        assert ServiceConfig().isolation == "thread"
-
-    def test_process_mode_validates(self):
-        config = dataclasses.replace(
-            ServiceConfig(), isolation="process", procs=2,
-            worker_memory_mb=512, recycle_requests=100,
-        )
-        assert config.validate() is config
-
-    def test_effective_procs_borrows_workers(self):
-        assert ServiceConfig(workers=6).effective_procs == 6
-        assert ServiceConfig(workers=6, procs=2).effective_procs == 2
-
-    def test_effective_kill_after_derives_from_search_deadline(self):
-        config = ServiceConfig(
-            request_timeout_s=10.0, search_deadline_s=2.0, kill_grace=1.5
-        )
-        assert config.effective_kill_after_s == pytest.approx(3.0)
-
-    def test_effective_kill_after_falls_back_to_request_timeout(self):
-        # search_deadline_s=0 disables the cooperative budget; the
-        # SIGKILL backstop then derives from the request deadline.
-        config = ServiceConfig(
-            request_timeout_s=10.0, search_deadline_s=0.0, kill_grace=2.0
-        )
-        assert config.effective_kill_after_s == pytest.approx(20.0)
 
     def test_shed_factor_zero_is_valid_and_disables(self):
         config = dataclasses.replace(ServiceConfig(), shed_factor=0.0)

@@ -195,10 +195,3 @@ class TestResources:
         usage = measure(lambda: [bytearray(64) for _ in range(2_000)],
                         trace_memory=True)
         assert usage.py_peak_bytes > 100_000
-
-    def test_to_dict_drops_the_value(self):
-        usage = measure(lambda: "payload")
-        payload = usage.to_dict()
-        assert set(payload) == {
-            "wall_s", "cpu_s", "py_peak_bytes", "rss_peak_bytes"
-        }

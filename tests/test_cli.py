@@ -42,36 +42,17 @@ class TestParser:
         assert "POST /sessions" in output
         assert "429" in output
 
-    def test_serve_isolation_defaults(self):
+    def test_serve_drain_and_shed_defaults(self):
         args = build_parser().parse_args(["serve"])
-        assert args.isolation == "thread"
-        assert args.procs == 0
-        assert args.kill_grace == 2.0
-        assert args.worker_memory_mb == 0
-        assert args.recycle_requests == 0
-        assert args.recycle_growth_mb == 0
         assert args.drain_timeout == 10.0
         assert args.shed_factor == 1.0
 
-    def test_serve_isolation_flags_parse(self):
+    def test_serve_drain_and_shed_flags_parse(self):
         args = build_parser().parse_args([
-            "serve", "--isolation", "process", "--procs", "3",
-            "--kill-grace", "1.5", "--worker-memory-mb", "512",
-            "--recycle-requests", "200", "--recycle-growth-mb", "128",
-            "--drain-timeout", "5", "--shed-factor", "0.5",
+            "serve", "--drain-timeout", "5", "--shed-factor", "0.5",
         ])
-        assert args.isolation == "process"
-        assert args.procs == 3
-        assert args.kill_grace == 1.5
-        assert args.worker_memory_mb == 512
-        assert args.recycle_requests == 200
-        assert args.recycle_growth_mb == 128
         assert args.drain_timeout == 5.0
         assert args.shed_factor == 0.5
-
-    def test_serve_rejects_unknown_isolation_mode(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["serve", "--isolation", "fork"])
 
 
 class TestCommands:
@@ -158,12 +139,6 @@ class TestCommands:
         assert main(["serve", "--workers", "0"]) == 2
         assert main(["serve", "--queue-size", "-1"]) == 2
         assert main(["serve", "--columns", ""]) == 2
-        capsys.readouterr()
-
-    def test_serve_bad_isolation_knobs_are_config_errors(self, capsys):
-        assert main(["serve", "--procs", "-1"]) == 2
-        assert main(["serve", "--kill-grace", "0.5"]) == 2
-        assert main(["serve", "--worker-memory-mb", "-1"]) == 2
         assert main(["serve", "--shed-factor", "-0.5"]) == 2
         capsys.readouterr()
 
