@@ -223,101 +223,61 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
+def _serve(make_app, banner, trace_roots: int) -> int:
+    """Serve one front end until SIGTERM or SIGINT drains it.
+
+    ``make_app`` builds the app once metrics and always-on tracing are
+    installed; ``banner(server)`` returns the startup lines.  The
+    caller's tracer and metrics handles are restored on every return.
+    """
+    # /metrics should report real numbers even without --trace.
+    with obs.scoped(trace=False):
+        # Always-on request tracing feeds /debug/requests; the root cap
+        # bounds memory (the flight recorder keeps the interesting
+        # ones).  --trace / --trace-out already installed a scoped
+        # tracer in main().
+        if trace_roots and not obs.tracing_enabled():
+            obs.set_tracer(obs.Tracer(max_roots=trace_roots))
+        return _serve_until_drained(make_app(), banner)
+
+
+def _serve_until_drained(app, banner) -> int:
     import signal
     import threading
 
-    from repro.exceptions import ServiceConfigError
-    from repro.service import MappingServer, ServiceApp, ServiceConfig
+    from repro.service import MappingServer
 
-    datasets = tuple(
-        name.strip() for name in args.datasets.split(",") if name.strip()
-    )
-    columns = tuple(
-        column.strip() for column in args.columns.split(",") if column.strip()
-    )
-    try:
-        config = ServiceConfig(
-            host=args.host,
-            port=args.port,
-            datasets=datasets,
-            scale=args.scale,
-            max_sessions=args.max_sessions,
-            session_ttl_s=args.session_ttl,
-            workers=args.workers,
-            queue_size=args.queue_size,
-            request_timeout_s=args.request_timeout,
-            location_cache_size=args.location_cache,
-            default_columns=columns,
-            journal_dir=args.journal_dir,
-            search_deadline_s=args.search_deadline,
-            drain_timeout_s=args.drain_timeout,
-            shed_factor=args.shed_factor,
-            slo_latency_s=args.slo_latency,
-            slo_availability_target=args.slo_availability_target,
-            slo_latency_target=args.slo_latency_target,
-            profile_hz=args.profile_hz,
-            recorder_capacity=args.recorder_capacity,
-            slow_request_s=args.slow_request,
-            shard_mode=bool(getattr(args, "shard_mode", False)),
-        ).validate()
-    except ServiceConfigError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    # /metrics should report real numbers even without --trace.
-    obs.enable_metrics()
-    # Always-on request tracing feeds /debug/requests; the root cap
-    # bounds memory (the flight recorder keeps the interesting ones).
-    # --trace / --trace-out already installed a scoped tracer in main().
-    if args.trace_roots and not obs.tracing_enabled():
-        obs.set_tracer(obs.Tracer(max_roots=args.trace_roots))
-    app = ServiceApp(config)
     try:
         server = MappingServer(app)
     except OSError as error:
         print(
-            f"error: cannot bind {config.host}:{config.port}: {error}",
+            f"error: cannot bind {app.config.host}:{app.config.port}: "
+            f"{error}",
             file=sys.stderr,
         )
         app.close()
         return 1
-    role = "shard" if config.shard_mode else "service"
-    # flush: cluster harnesses parse this line through a pipe.
-    print(f"mweaver {role} listening on {server.url}", flush=True)
-    print(
-        f"datasets: {', '.join(config.datasets)}  "
-        f"workers: {config.workers}  queue: {config.queue_size}  "
-        f"sessions: <= {config.max_sessions} (ttl {config.session_ttl_s:g}s)"
-    )
-    if config.journal_dir:
-        print(
+    lines = banner(server)
+    if app.journal is not None:
+        lines.append(
             f"journal: {app.journal.path} "
             f"(recovered {app.recovered_sessions} session(s))"
         )
-    print(
-        f"observability: tracing "
-        f"{'on' if obs.tracing_enabled() else 'off'}  "
-        f"profiler {config.profile_hz:g} Hz  "
-        f"recorder {config.recorder_capacity} requests  "
-        f"(GET /metrics?format=prometheus, /debug/requests, "
-        f"/debug/profile)"
-    )
-    print("Ctrl-C or SIGTERM to drain and stop.")
+    lines.append("Ctrl-C or SIGTERM to drain and stop.")
+    # flush: cluster harnesses parse the listening line through a pipe.
+    print("\n".join(lines), flush=True)
 
     # Graceful drain is the default shutdown path: the handler only
-    # flips an event and hands off to a thread (signal handlers must not
-    # block), the drain stops admission, finishes in-flight requests,
-    # flushes the journal, and unblocks serve_forever — so the process
-    # exits 0 with nothing torn.
-    drain_started = threading.Event()
+    # hands off to a thread (signal handlers must not block), the drain
+    # stops admission, finishes in-flight requests, flushes the journal,
+    # and unblocks serve_forever — so the process exits 0 with nothing
+    # torn.
     drain_thread: list[threading.Thread] = []
 
     def _on_signal(signum: int, _frame) -> None:
-        if drain_started.is_set():
+        if drain_thread:
             return
-        drain_started.set()
-        name = signal.Signals(signum).name
-        print(f"{name} received: draining", flush=True)
+        print(f"{signal.Signals(signum).name} received: draining", flush=True)
         thread = threading.Thread(
             target=server.drain, name="mweaver-drain", daemon=True
         )
@@ -325,8 +285,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         thread.start()
 
     previous = {
-        signal.SIGTERM: signal.signal(signal.SIGTERM, _on_signal),
-        signal.SIGINT: signal.signal(signal.SIGINT, _on_signal),
+        signum: signal.signal(signum, _on_signal)
+        for signum in (signal.SIGTERM, signal.SIGINT)
     }
     try:
         server.serve_forever()
@@ -342,7 +302,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if drain_thread:
             # The journal flush happens inside the drain; wait for it
             # before the interpreter starts tearing down.
-            drain_thread[0].join(timeout=config.drain_timeout_s + 10.0)
+            drain_thread[0].join(timeout=app.config.drain_timeout_s + 10.0)
         server.shutdown()
     if app.drain_report is not None:
         state = "clean" if app.drain_report["clean"] else "timed out"
@@ -350,20 +310,67 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_cluster(args: argparse.Namespace) -> int:
-    import signal
-    import threading
+def _names(text: str) -> tuple[str, ...]:
+    """A comma-separated option as a tuple of non-blank names."""
+    return tuple(name.strip() for name in text.split(",") if name.strip())
 
+
+def _cmd_serve(args: argparse.Namespace) -> int:
+    from repro.exceptions import ServiceConfigError
+    from repro.service import ServiceApp, ServiceConfig
+
+    try:
+        config = ServiceConfig(
+            host=args.host,
+            port=args.port,
+            datasets=_names(args.datasets),
+            scale=args.scale,
+            max_sessions=args.max_sessions,
+            session_ttl_s=args.session_ttl,
+            workers=args.workers,
+            queue_size=args.queue_size,
+            request_timeout_s=args.request_timeout,
+            location_cache_size=args.location_cache,
+            default_columns=_names(args.columns),
+            journal_dir=args.journal_dir,
+            search_deadline_s=args.search_deadline,
+            drain_timeout_s=args.drain_timeout,
+            shed_factor=args.shed_factor,
+            slo_latency_s=args.slo_latency,
+            slo_availability_target=args.slo_availability_target,
+            slo_latency_target=args.slo_latency_target,
+            profile_hz=args.profile_hz,
+            recorder_capacity=args.recorder_capacity,
+            slow_request_s=args.slow_request,
+            shard_mode=bool(getattr(args, "shard_mode", False)),
+        ).validate()
+    except ServiceConfigError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+
+    def banner(server) -> list[str]:
+        role = "shard" if config.shard_mode else "service"
+        return [
+            f"mweaver {role} listening on {server.url}",
+            f"datasets: {', '.join(config.datasets)}  "
+            f"workers: {config.workers}  queue: {config.queue_size}  "
+            f"sessions: <= {config.max_sessions} "
+            f"(ttl {config.session_ttl_s:g}s)",
+            f"observability: tracing "
+            f"{'on' if obs.tracing_enabled() else 'off'}  "
+            f"profiler {config.profile_hz:g} Hz  "
+            f"recorder {config.recorder_capacity} requests  "
+            f"(GET /metrics?format=prometheus, /debug/requests, "
+            f"/debug/profile)",
+        ]
+
+    return _serve(lambda: ServiceApp(config), banner, args.trace_roots)
+
+
+def _cmd_cluster(args: argparse.Namespace) -> int:
     from repro.cluster import ClusterConfig, CoordinatorApp
     from repro.exceptions import ServiceConfigError
-    from repro.service import MappingServer
 
-    datasets = tuple(
-        name.strip() for name in args.datasets.split(",") if name.strip()
-    )
-    columns = tuple(
-        column.strip() for column in args.columns.split(",") if column.strip()
-    )
     try:
         config = ClusterConfig(
             host=args.host,
@@ -371,8 +378,8 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             shards=tuple(args.shards or ()),
             replication=args.replication,
             vnodes=args.vnodes,
-            datasets=datasets,
-            default_columns=columns,
+            datasets=_names(args.datasets),
+            default_columns=_names(args.columns),
             max_sessions=args.max_sessions,
             heartbeat_interval_s=args.heartbeat_interval,
             failure_threshold=args.failure_threshold,
@@ -388,68 +395,17 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     except ServiceConfigError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    obs.enable_metrics()
-    if args.trace_roots and not obs.tracing_enabled():
-        obs.set_tracer(obs.Tracer(max_roots=args.trace_roots))
-    app = CoordinatorApp(config)
-    try:
-        server = MappingServer(app)
-    except OSError as error:
-        print(
-            f"error: cannot bind {config.host}:{config.port}: {error}",
-            file=sys.stderr,
-        )
-        app.close()
-        return 1
-    # flush: cluster harnesses parse this line through a pipe.
-    print(f"mweaver cluster coordinator listening on {server.url}",
-          flush=True)
-    print(
-        f"shards: {', '.join(config.shards)}  "
-        f"replication: R={min(config.replication, len(config.shards))}  "
-        f"heartbeat: {config.heartbeat_interval_s:g}s"
-    )
-    if config.journal_dir:
-        print(
-            f"journal: {app.journal.path} "
-            f"(recovered {app.recovered_sessions} session(s))"
-        )
-    print("Ctrl-C or SIGTERM to drain and stop.")
 
-    drain_started = threading.Event()
-    drain_thread: list[threading.Thread] = []
+    def banner(server) -> list[str]:
+        replication = min(config.replication, len(config.shards))
+        return [
+            f"mweaver cluster coordinator listening on {server.url}",
+            f"shards: {', '.join(config.shards)}  "
+            f"replication: R={replication}  "
+            f"heartbeat: {config.heartbeat_interval_s:g}s",
+        ]
 
-    def _on_signal(signum: int, _frame) -> None:
-        if drain_started.is_set():
-            return
-        drain_started.set()
-        name = signal.Signals(signum).name
-        print(f"{name} received: draining", flush=True)
-        thread = threading.Thread(
-            target=server.drain, name="mweaver-cluster-drain", daemon=True
-        )
-        drain_thread.append(thread)
-        thread.start()
-
-    previous = {
-        signal.SIGTERM: signal.signal(signal.SIGTERM, _on_signal),
-        signal.SIGINT: signal.signal(signal.SIGINT, _on_signal),
-    }
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:  # pragma: no cover - handler owns SIGINT
-        print("shutting down")
-        return 0
-    except Exception as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-    finally:
-        for signum, handler in previous.items():
-            signal.signal(signum, handler)
-        if drain_thread:
-            drain_thread[0].join(timeout=config.drain_timeout_s + 10.0)
-        server.shutdown()
-    return 0
+    return _serve(lambda: CoordinatorApp(config), banner, args.trace_roots)
 
 
 def _cmd_supervise(args: argparse.Namespace) -> int:
@@ -587,7 +543,7 @@ def _render_top_frame(
 
     lines = []
     status = health.get("status", "?")
-    isolation = health.get("isolation") or {}
+    pool = health.get("pool") or {}
     lines.append(
         f"mweaver top — status {status}  "
         f"uptime {health.get('uptime_s', 0):.0f}s  "
@@ -608,9 +564,8 @@ def _render_top_frame(
             f"p95 {1000 * p95:.1f} ms"
         )
     lines.append(
-        f"workers [{isolation.get('mode', '?')}]: "
-        f"{isolation.get('busy', '?')}/{isolation.get('workers', '?')} "
-        f"busy  queue {isolation.get('queue_depth', '?')}"
+        f"workers: {pool.get('busy', '?')}/{pool.get('workers', '?')} "
+        f"busy  queue {pool.get('queue_depth', '?')}"
     )
     admission = health.get("admission") or {}
     if admission:

@@ -2,9 +2,11 @@
 
 :class:`CoordinatorApp` fronts N ``mweaver shard`` backends with the
 same transport contract as :class:`repro.service.app.ServiceApp`
-(``handle(method, path, query, body) -> (status, payload, headers)``),
-so the stock :class:`~repro.service.http.MappingServer` serves it and
-every existing client — including the load bench — works unchanged.
+(``handle(method, path, query, body) -> (status, payload, headers)``):
+both are a :class:`~repro.service.frontend.FrontEnd`, which owns the
+request frame, drain and RED metrics, so the stock
+:class:`~repro.service.http.MappingServer` serves it and every existing
+client — including the load bench — works unchanged.
 
 Design:
 
@@ -49,9 +51,7 @@ import threading
 import time
 from typing import Any
 
-from repro import obs
 from repro.exceptions import (
-    ReproError,
     ServiceOverloadedError,
     ServiceUnavailableError,
     ShardUnavailableError,
@@ -62,18 +62,15 @@ from repro.cluster.config import ClusterConfig
 from repro.cluster.health import HealthMonitor
 from repro.cluster.reconcile import Reconciler
 from repro.cluster.ring import HashRing
-from repro.obs import get_logger, get_metrics, get_tracer
-from repro.obs.prometheus import render_exposition
+from repro.obs import get_logger, get_metrics
 from repro.resilience import Degradation, SessionJournal, replay_journal
-from repro.service.retry_after import retry_after_header
+from repro.service.frontend import FrontEnd
 from repro.service.validation import (
     BadRequest,
     Response,
     as_int,
     column_names,
-    error_response,
     require,
-    route_template,
     served_dataset,
 )
 
@@ -126,7 +123,7 @@ class ClusterSession:
         }
 
 
-class CoordinatorApp:
+class CoordinatorApp(FrontEnd):
     """One running coordinator instance (transport-independent)."""
 
     def __init__(
@@ -137,6 +134,7 @@ class CoordinatorApp:
         client_factory: Any = None,
         start_background: bool = True,
     ) -> None:
+        super().__init__("cluster")
         self.config = (config or ClusterConfig()).validate()
         self._client_factory = client_factory or (
             lambda address: HttpShardClient(
@@ -185,9 +183,6 @@ class CoordinatorApp:
         self.failovers = 0
         self.hedges = 0
         self.degraded_locates = 0
-        self._inflight = 0
-        self._inflight_cond = threading.Condition()
-        self._draining = False
         workers = max(4, 2 * len(self.config.shards))
         # Two pools so a scatter task can submit hedge attempts without
         # ever waiting on its own pool (classic nested-submit deadlock).
@@ -248,36 +243,6 @@ class CoordinatorApp:
                 len(self._sessions), len(recovered),
             )
 
-    def begin_drain(self) -> None:
-        """Stop admitting work; in-flight requests keep running."""
-        with self._inflight_cond:
-            if self._draining:
-                return
-            self._draining = True
-        _log.info("coordinator drain started")
-
-    def wait_idle(self, timeout_s: float) -> bool:
-        """Block until no request is in flight (False on timeout)."""
-        deadline = time.monotonic() + timeout_s
-        with self._inflight_cond:
-            while self._inflight > 0:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return False
-                self._inflight_cond.wait(timeout=min(0.25, remaining))
-        return True
-
-    def drain(self, timeout_s: float | None = None) -> bool:
-        """Full graceful shutdown: stop admitting, wait, close."""
-        timeout = (
-            timeout_s if timeout_s is not None
-            else self.config.drain_timeout_s
-        )
-        self.begin_drain()
-        clean = self.wait_idle(timeout)
-        self.close()
-        return clean
-
     def close(self) -> None:
         """Release threads, clients and the journal (idempotent)."""
         if self._closed:
@@ -292,12 +257,6 @@ class CoordinatorApp:
         if self.journal is not None:
             self.journal.close()
 
-    def __enter__(self) -> "CoordinatorApp":
-        return self
-
-    def __exit__(self, *_exc: Any) -> None:
-        self.close()
-
     # -- dispatch ------------------------------------------------------
 
     def handle(
@@ -308,42 +267,7 @@ class CoordinatorApp:
         body: dict[str, Any] | None = None,
     ) -> Response:
         """Route one request; never raises — failures become statuses."""
-        query = query or {}
-        parts = tuple(part for part in path.split("/") if part)
-        route = route_template(method, parts)
-        tracer = get_tracer()
-        with tracer.span(
-            "cluster.request", method=method, route=route
-        ) as span:
-            started = time.perf_counter()
-            with self._inflight_cond:
-                self._inflight += 1
-            try:
-                try:
-                    status, payload, headers = self._dispatch(
-                        method, parts, query, body
-                    )
-                except (BadRequest, ReproError) as error:
-                    status, payload, headers = error_response(error)
-                except Exception as error:  # noqa: BLE001 - 500 boundary
-                    _log.exception("unhandled coordinator error")
-                    status = 500
-                    payload = {"error": f"internal error: {error}"}
-                    headers = {}
-            finally:
-                with self._inflight_cond:
-                    self._inflight -= 1
-                    self._inflight_cond.notify_all()
-            span.set("status", status)
-            elapsed = time.perf_counter() - started
-        metrics = get_metrics()
-        metrics.counter(
-            "repro.cluster.requests", route=route, status=status
-        ).inc()
-        metrics.histogram(
-            "repro.cluster.request.seconds"
-        ).observe(elapsed)
-        return status, payload, headers
+        return self._frame(method, path, query, body)[0]
 
     def _dispatch(
         self,
@@ -356,12 +280,6 @@ class CoordinatorApp:
             return self.healthz(query)
         if parts == ("metrics",) and method == "GET":
             return self.metrics(query)
-        if self._draining:
-            raise ServiceUnavailableError(
-                "coordinator is draining",
-                retry_after_s=self.config.retry_after_s,
-                reason="drain",
-            )
         if parts == ("sessions",):
             if method == "POST":
                 return self.create_session(body)
@@ -937,9 +855,7 @@ class CoordinatorApp:
 
     # -- health + metrics ----------------------------------------------
 
-    def healthz(self, query: dict[str, str] | None = None) -> Response:
-        """``GET /healthz`` — cluster view; ``?ready=1`` — readiness."""
-        query = query or {}
+    def _health(self) -> tuple[dict[str, Any], list[str]]:
         shards = self.health.snapshot()
         up = sum(1 for shard in shards if shard["up"])
         with self._sessions_lock:
@@ -972,29 +888,8 @@ class CoordinatorApp:
                 "decommissioning": sorted(self._decommissioning),
             },
             "repair": self.reconciler.snapshot(),
-            "journal": (
-                {
-                    "path": str(self.journal.path),
-                    "appended": self.journal.appended,
-                    "recovered_sessions": self.recovered_sessions,
-                }
-                if self.journal is not None
-                else None
-            ),
-            "draining": self._draining,
         }
-        if query.get("ready", "") in ("1", "true", "yes"):
-            blockers = []
-            if self._draining:
-                blockers.append("draining")
-            if up == 0:
-                blockers.append("no_healthy_shard")
-            body["ready"] = not blockers
-            if blockers:
-                body["ready_blockers"] = blockers
-                retry = retry_after_header(self.config.retry_after_s)
-                return 503, body, {"Retry-After": retry}
-        return 200, body, {}
+        return body, [] if up else ["no_healthy_shard"]
 
     def _refresh_gauges(self) -> None:
         metrics = get_metrics()
@@ -1023,18 +918,10 @@ class CoordinatorApp:
             len(self._decommissioning)
         )
 
-    def metrics(self, query: dict[str, str] | None = None) -> Response:
-        """``GET /metrics`` — cluster gauges + the obs registry."""
-        query = query or {}
-        self._refresh_gauges()
-        if query.get("format") == "prometheus":
-            text = render_exposition(obs.get_metrics())
-            return 200, text, {
-                "Content-Type": "text/plain; version=0.0.4; charset=utf-8"
-            }
+    def _metrics_summary(self) -> dict[str, Any]:
         with self._sessions_lock:
             live = len(self._sessions)
-        return 200, {
+        return {
             "cluster": {
                 "uptime_s": round(time.time() - self.started_at, 3),
                 "sessions": live,
@@ -1043,5 +930,4 @@ class CoordinatorApp:
                 "hedges": self.hedges,
                 "degraded_locates": self.degraded_locates,
             },
-            "metrics": obs.get_metrics().snapshot(),
-        }, {}
+        }

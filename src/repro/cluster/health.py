@@ -256,6 +256,20 @@ class HealthMonitor:
         with self._lock:
             return shard in self.clients and not self._down[shard]
 
+    def healthy(self, shard: str) -> bool:
+        """Routable, and its last probe or routed call did not fail.
+
+        Background work (replica shipping) waits for this: a shard that
+        just timed out is often wedged, and its breaker needs more
+        failures before routing stops using it.
+        """
+        with self._lock:
+            return (
+                shard in self.clients
+                and not self._down[shard]
+                and self._last_probe[shard] is not False
+            )
+
     def up_shards(self) -> tuple[str, ...]:
         """Every currently routable shard, in admission order."""
         with self._lock:

@@ -16,8 +16,8 @@ FIFO order under :data:`PASS_MAX_WORK` ships; sessions the budget does
 not reach stay dirty, in place, for the next pass.  Reconciling a
 session holds its lock for the whole operation, the rule ``put_cell``
 follows: ship the restore payload to every desired member outside
-``synced``, then move the placement onto members that now hold the
-grid.  No write is accepted between a ship and a switch, so none is
+``synced`` whose last probe or call did not fail, then move the
+placement onto members that now hold the grid.  No write is accepted between a ship and a switch, so none is
 lost.  A restore rebuilds the grid with the normalization ``put_cell``
 applies, so after a ship the shard's ``/admin/digest`` equals the
 coordinator's :func:`~repro.resilience.journal.grid_digest`.
@@ -176,7 +176,10 @@ class Reconciler:
         departed: list[str] = []
         with session.lock:
             for shard in desired:
-                if shard in session.synced or not coordinator.health.is_up(
+                # A shard whose last call failed is skipped, not shipped
+                # to under the session lock: a wedged one would hold the
+                # lock a full call timeout.  The session stays dirty.
+                if shard in session.synced or not coordinator.health.healthy(
                     shard
                 ):
                     continue

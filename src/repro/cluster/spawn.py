@@ -89,15 +89,14 @@ class ServerProcess:
                     f"did not report a listening address within "
                     f"{startup_timeout_s:g}s"
                 )
-                self._cleanup_failed_start()
+                self.kill()
                 raise RuntimeError(
                     f"{self.name} {why}; output:\n{self.output()}"
                 )
         return self
 
-    def _cleanup_failed_start(self) -> None:
-        """Kill the child and release the reader thread + stdout pipe."""
-        self.kill()
+    def _release_output(self) -> None:
+        """Join the reader thread and close the exited child's stdout."""
         if self._reader is not None:
             # The reader exits once the dead child's pipe hits EOF.
             self._reader.join(timeout=10.0)
@@ -196,13 +195,20 @@ class ServerProcess:
     # -- teardown ------------------------------------------------------
 
     def kill(self) -> None:
-        """SIGKILL — the chaos primitive.  No cleanup, no warning."""
+        """SIGKILL — the chaos primitive: the child gets no chance to
+        drain.  This side still joins the reader thread and closes the
+        child's stdout pipe."""
         if self.process is not None and self.process.poll() is None:
             self.process.send_signal(signal.SIGKILL)
             self.process.wait(timeout=10.0)
+        self._release_output()
 
     def terminate(self, *, timeout_s: float = 15.0) -> int | None:
-        """SIGTERM (graceful drain) and wait; SIGKILL as backstop."""
+        """SIGTERM (graceful drain) and wait; SIGKILL as backstop.
+
+        Returns the exit code once the reader thread has taken all of
+        the child's output and its stdout pipe is closed.
+        """
         if self.process is None:
             return None
         if self.process.poll() is None:
@@ -210,7 +216,8 @@ class ServerProcess:
             try:
                 self.process.wait(timeout=timeout_s)
             except subprocess.TimeoutExpired:
-                self.kill()
+                pass  # kill() below is the backstop
+        self.kill()
         return self.process.poll()
 
     def __enter__(self) -> "ServerProcess":

@@ -14,6 +14,8 @@ spreadsheet UI):
   cooperative cancellation, 429 backpressure),
 * :mod:`repro.service.admission` — latency-aware load shedding (503 +
   ``Retry-After`` before the queue wait can blow the deadline),
+* :mod:`repro.service.frontend` — the request frame, drain and RED
+  metrics the service and the cluster coordinator share,
 * :mod:`repro.service.app` — transport-independent request handling,
 * :mod:`repro.service.http` — the stdlib ``ThreadingHTTPServer``
   adapter behind ``mweaver serve`` (with SIGTERM graceful drain).
@@ -34,6 +36,7 @@ from __future__ import annotations
 from repro.service.admission import AdmissionController
 from repro.service.app import ServiceApp
 from repro.service.config import KNOWN_DATASETS, ServiceConfig
+from repro.service.frontend import FrontEnd
 from repro.service.http import MappingServer, make_server
 from repro.service.registry import DatasetRegistry, LocationCache
 from repro.service.retry_after import (
@@ -46,6 +49,7 @@ from repro.service.workers import Job, WorkerPool
 __all__ = [
     "ServiceApp",
     "ServiceConfig",
+    "FrontEnd",
     "KNOWN_DATASETS",
     "MappingServer",
     "make_server",

@@ -25,7 +25,6 @@ from __future__ import annotations
 import threading
 
 from repro.exceptions import ServiceUnavailableError
-from repro.obs import get_metrics
 from repro.service.retry_after import clamp_retry_after
 
 #: EWMA smoothing: each new sample carries this weight.
@@ -87,7 +86,6 @@ class AdmissionController:
             return
         with self._lock:
             self.shed += 1
-        get_metrics().counter("repro.isolation.shed").inc()
         raise ServiceUnavailableError(
             f"estimated queue wait {estimate:.2f}s exceeds "
             f"{self.shed_factor:g}x the {deadline_s:g}s deadline",

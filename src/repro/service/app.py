@@ -27,9 +27,11 @@ API surface (all JSON)::
 Failure mapping: unknown/evicted session -> 404, malformed input -> 400,
 full work queue or session table -> 429 with ``Retry-After``, an open
 dataset-build circuit breaker -> 503 with ``Retry-After``, a missed
-request deadline -> 504, anything unexpected -> 500.  Every request runs
-inside a ``service.request`` span; search/prune work executes on the
-worker pool, which re-parents its spans under the request via
+request deadline -> 504, anything unexpected -> 500.  The request frame,
+drain and RED metrics are the shared
+:class:`~repro.service.frontend.FrontEnd`'s: every request runs inside a
+``service.request`` span; search/prune work executes on the worker pool,
+which re-parents its spans under the request via
 :meth:`repro.obs.tracer.Tracer.adopt`.
 
 Graceful degradation: each cell input carries an anytime-search
@@ -44,10 +46,10 @@ Crash safety: with ``journal_dir`` configured, every applied mutation is
 appended to a JSONL journal and replayed on startup, restoring live
 sessions (same ids, same grids) across a crash or restart.
 
-Operational observability: every request is measured as RED metrics
-(rate/errors by route+status, duration histograms per route), recorded
-against the configured SLOs (multi-window burn rates — see
-:mod:`repro.obs.slo`), and — when tracing is on — filed in the flight
+Operational observability: on top of the front end's RED metrics
+(rate/errors by route+status, duration histograms per route), every
+request is recorded against the configured SLOs (multi-window burn
+rates — see :mod:`repro.obs.slo`), and — when tracing is on — filed in the flight
 recorder with its full stitched span tree, retrievable via
 ``/debug/requests/{id}`` and tagged with the ``X-Request-Id`` response
 header.  ``GET /metrics?format=prometheus`` serves the whole registry
@@ -58,51 +60,41 @@ gauges on every scrape.
 
 from __future__ import annotations
 
-import threading
 import time
 from pathlib import Path
 from typing import Any
 
-from repro import obs
 from repro.core.session import MappingSession
-from repro.exceptions import (
-    ReproError,
-    ServiceUnavailableError,
-    SessionError,
-    UnknownSessionError,
-)
+from repro.exceptions import SessionError, UnknownSessionError
 from repro.obs import get_logger, get_metrics, get_tracer
 from repro.obs.profiler import SamplingProfiler
-from repro.obs.prometheus import render_exposition
 from repro.obs.recorder import FlightRecorder
 from repro.obs.slo import SloTracker, default_objectives
 from repro.resilience import NULL_BUDGET, Budget, SessionJournal, replay_journal
 from repro.resilience.journal import grid_digest
 from repro.service.admission import AdmissionController
 from repro.service.config import ServiceConfig
+from repro.service.frontend import FrontEnd
 from repro.service.registry import (
     DatasetRegistry,
     LocationCache,
     locate_partition,
     normalize_sample,
 )
-from repro.service.retry_after import retry_after_header
 from repro.service.sessions import ManagedSession, SessionManager
 from repro.service.validation import (
     BadRequest,
     Response,
     as_int,
     column_names,
-    error_response,
     require,
-    route_template,
     served_dataset,
 )
 from repro.service.workers import WorkerPool
 
 _log = get_logger(__name__)
 
-class ServiceApp:
+class ServiceApp(FrontEnd):
     """One running instance of the mapping service."""
 
     def __init__(
@@ -111,6 +103,7 @@ class ServiceApp:
         *,
         registry: DatasetRegistry | None = None,
     ) -> None:
+        super().__init__("service")
         self.config = (config or ServiceConfig()).validate()
         self.registry = registry or DatasetRegistry(scale=self.config.scale)
         self.registry.preload(self.config.datasets)
@@ -137,12 +130,6 @@ class ServiceApp:
             shed_factor=self.config.shed_factor,
             retry_after_s=self.config.retry_after_s,
         )
-        # Drain bookkeeping: in-flight requests and the draining flag
-        # share one condition so drain can wait for the count to hit 0.
-        self._inflight = 0
-        self._inflight_cond = threading.Condition()
-        self._draining = False
-        self.drain_report: dict[str, Any] | None = None
         self.pool = WorkerPool(
             workers=self.config.workers,
             queue_size=self.config.queue_size,
@@ -230,57 +217,8 @@ class ServiceApp:
         return factory
 
     # ------------------------------------------------------------------
-    # Drain / lifecycle
+    # Lifecycle
     # ------------------------------------------------------------------
-
-    def begin_drain(self) -> None:
-        """Stop admitting work; in-flight requests keep running.
-
-        New non-health requests answer 503 (``reason="drain"``) from
-        this point on.  Idempotent.
-        """
-        with self._inflight_cond:
-            if self._draining:
-                return
-            self._draining = True
-        get_metrics().gauge("repro.isolation.draining").set(1)
-        _log.info("drain started: no longer admitting work")
-
-    def wait_idle(self, timeout_s: float) -> bool:
-        """Block until no request is in flight (True) or timeout (False)."""
-        deadline = time.monotonic() + timeout_s
-        with self._inflight_cond:
-            while self._inflight > 0:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return False
-                self._inflight_cond.wait(timeout=min(0.25, remaining))
-        return True
-
-    def drain(self, timeout_s: float | None = None) -> bool:
-        """The graceful-shutdown path: drain, then close.
-
-        Stops admitting, waits up to ``timeout_s`` (default: the
-        configured ``drain_timeout_s``) for in-flight requests, then
-        closes the pool and flushes/closes the journal.  Returns
-        ``True`` when every in-flight request finished in time.
-        """
-        timeout = (
-            timeout_s if timeout_s is not None
-            else self.config.drain_timeout_s
-        )
-        started = time.monotonic()
-        self.begin_drain()
-        clean = self.wait_idle(timeout)
-        self.close()
-        elapsed = time.monotonic() - started
-        self.drain_report = {"clean": clean, "seconds": round(elapsed, 3)}
-        get_metrics().gauge("repro.isolation.drain.seconds").set(elapsed)
-        _log.info(
-            "drain finished in %.3fs (%s)",
-            elapsed, "clean" if clean else "timed out",
-        )
-        return clean
 
     def close(self) -> None:
         """Stop the pool, profiler and journal (idempotent)."""
@@ -291,12 +229,6 @@ class ServiceApp:
                 self.profiler.stop()
             if self.journal is not None:
                 self.journal.close()
-
-    def __enter__(self) -> "ServiceApp":
-        return self
-
-    def __exit__(self, *_exc: Any) -> None:
-        self.close()
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -309,52 +241,25 @@ class ServiceApp:
         query: dict[str, str] | None = None,
         body: dict[str, Any] | None = None,
     ) -> Response:
-        """Route one request; never raises — failures become statuses."""
-        query = query or {}
-        parts = tuple(part for part in path.split("/") if part)
-        route = route_template(method, parts)
+        """Route one request; never raises — failures become statuses.
+
+        The shared frame serves it; on top, the service records it
+        against its SLOs, files it in the flight recorder and tags the
+        response with ``X-Request-Id``.
+        """
         request_id = self.recorder.next_id() if self.recorder else None
         epoch = time.time()
-        tracer = get_tracer()
-        with tracer.span("service.request", method=method, route=route) as span:
-            if request_id is not None:
-                span.set("request_id", request_id)
-            started = time.perf_counter()
-            with self._inflight_cond:
-                self._inflight += 1
-            try:
-                status, payload, headers = self._dispatch(
-                    method, parts, query, body
-                )
-            except (BadRequest, ReproError) as error:
-                status, payload, headers = error_response(error)
-            except Exception as error:  # noqa: BLE001 - the 500 boundary
-                _log.exception("unhandled error on %s %s", method, path)
-                status = 500
-                payload = {"error": f"{type(error).__name__}: {error}"}
-                headers = {}
-            finally:
-                with self._inflight_cond:
-                    self._inflight -= 1
-                    self._inflight_cond.notify_all()
-            span.set("status", status)
-            elapsed = time.perf_counter() - started
-        # RED metrics: rate+errors via the labelled counter, duration
-        # via a per-route histogram alongside the global one.
-        metrics = get_metrics()
-        metrics.counter(
-            "repro.service.requests", route=route, status=status
-        ).inc()
-        metrics.histogram("repro.service.request.seconds").observe(elapsed)
-        metrics.histogram(
-            "repro.service.request.seconds", route=route
-        ).observe(elapsed)
+        attributes = {} if request_id is None else {"request_id": request_id}
+        (status, payload, headers), route, elapsed, span = self._frame(
+            method, path, query, body, **attributes
+        )
         self.slo.record(error=status >= 500, duration_s=elapsed)
         if self.recorder is not None:
             reasons = []
             if isinstance(payload, dict) and payload.get("degraded"):
                 reasons.append("degraded")
             spans: tuple[Any, ...] = ()
+            tracer = get_tracer()
             if tracer.enabled:
                 spans = (span,)
                 # A bounded tracer (the always-on serve configuration)
@@ -383,8 +288,6 @@ class ServiceApp:
             return self.healthz(query)
         if parts == ("metrics",) and method == "GET":
             return self.metrics(query)
-        # The /debug surface stays answerable while draining: that is
-        # exactly when an operator wants the flight recorder.
         if parts and parts[0] == "debug" and method == "GET":
             if parts == ("debug", "profile"):
                 return self.debug_profile(query)
@@ -392,14 +295,6 @@ class ServiceApp:
                 return self.debug_requests(query)
             if len(parts) == 3 and parts[1] == "requests":
                 return self.debug_request(parts[2])
-        if self._draining:
-            # Health endpoints stay answerable while draining; all
-            # other routes fail fast so the drain can finish.
-            raise ServiceUnavailableError(
-                "server is draining",
-                retry_after_s=self.config.retry_after_s,
-                reason="drain",
-            )
         if parts == ("sessions",):
             if method == "POST":
                 return self.create_session(body)
@@ -747,19 +642,10 @@ class ServiceApp:
             "entries": entries,
         }, {}
 
-    def healthz(self, query: dict[str, str] | None = None) -> Response:
-        """``GET /healthz`` — liveness; ``?ready=1`` — readiness.
-
-        Plain ``/healthz`` is a *liveness* probe: always 200 while the
-        process can answer, even with ``status: "degraded"`` (an open
-        breaker means a dataset is failing to build — existing sessions
-        still work, so killing the process would make things worse).
-
-        ``/healthz?ready=1`` is the *readiness* probe load balancers
-        should poll: 503 while the server drains or any breaker is
-        open, so traffic rotates away without dropping the instance.
-        """
-        query = query or {}
+    def _health(self) -> tuple[dict[str, Any], list[str]]:
+        # An open breaker means a dataset is failing to build: existing
+        # sessions still work, so liveness stays 200 ("degraded") while
+        # readiness turns the instance away.
         breakers = self.registry.breaker_snapshots()
         degraded = any(b["state"] != "closed" for b in breakers)
         body: dict[str, Any] = {
@@ -773,19 +659,9 @@ class ServiceApp:
             "workers": self.config.workers,
             "queue_size": self.config.queue_size,
             "breakers": breakers,
-            "journal": (
-                {
-                    "path": str(self.journal.path),
-                    "appended": self.journal.appended,
-                    "recovered_sessions": self.recovered_sessions,
-                }
-                if self.journal is not None
-                else None
-            ),
             "search_deadline_s": self.config.effective_search_deadline_s,
-            "draining": self._draining,
             "admission": self.admission.snapshot(),
-            "isolation": {"mode": "thread", **self.pool.snapshot()},
+            "pool": self.pool.snapshot(),
             "slo": self.slo.burn_rates(),
             "recorder": (
                 self.recorder.stats() if self.recorder is not None else None
@@ -796,21 +672,12 @@ class ServiceApp:
                 else None
             ),
         }
-        if query.get("ready", "") in ("1", "true", "yes"):
-            blockers = [
-                f"breaker:{b['name']}" for b in breakers
-                if b["state"] == "open"
-            ]
-            if self._draining:
-                blockers.insert(0, "draining")
-            body["ready"] = not blockers
-            if blockers:
-                body["ready_blockers"] = blockers
-                retry = retry_after_header(self.config.retry_after_s)
-                return 503, body, {"Retry-After": retry}
-        return 200, body, {}
+        blockers = [
+            f"breaker:{b['name']}" for b in breakers if b["state"] == "open"
+        ]
+        return body, blockers
 
-    def _refresh_op_gauges(self) -> None:
+    def _refresh_gauges(self) -> None:
         """Fold live operational state into the metrics registry.
 
         Runs on every ``/metrics`` scrape so one scrape sees the whole
@@ -866,25 +733,11 @@ class ServiceApp:
             )
         self.slo.publish(metrics)
 
-    def metrics(self, query: dict[str, str] | None = None) -> Response:
-        """``GET /metrics`` — obs snapshot plus service-level stats.
-
-        ``?format=prometheus`` serves the registry as Prometheus text
-        exposition instead (``text/plain; version=0.0.4``).  Both forms
-        fold the live operational gauges in first, so a single scrape
-        carries admission/breaker/cache/pool/SLO state.
-        """
-        query = query or {}
-        self._refresh_op_gauges()
-        if query.get("format") == "prometheus":
-            text = render_exposition(obs.get_metrics())
-            return 200, text, {
-                "Content-Type": "text/plain; version=0.0.4; charset=utf-8"
-            }
+    def _metrics_summary(self) -> dict[str, Any]:
         cache_stats = (
             self.location_cache.stats() if self.location_cache else None
         )
-        return 200, {
+        return {
             "service": {
                 "uptime_s": round(time.time() - self.started_at, 3),
                 "sessions": self.sessions.count(),
@@ -892,8 +745,7 @@ class ServiceApp:
                 "location_cache": cache_stats,
             },
             "slo": self.slo.burn_rates(),
-            "metrics": obs.get_metrics().snapshot(),
-        }, {}
+        }
 
     def debug_profile(self, query: dict[str, str] | None = None) -> Response:
         """``GET /debug/profile`` — the sampling profiler's folded stacks.

@@ -2,9 +2,10 @@
 
 A :class:`ThreadingHTTPServer` (one thread per connection) whose handler
 parses the request line, query string and JSON body, then delegates to
-:meth:`repro.service.app.ServiceApp.handle`.  All policy — routing,
-status codes, backpressure, deadlines — lives in the app; this module
-only moves bytes.
+the ``handle`` of a :class:`~repro.service.frontend.FrontEnd` (the
+service or the cluster coordinator).  All policy — routing, status
+codes, backpressure, deadlines — lives in the app; this module only
+moves bytes.
 
 :class:`MappingServer` wraps the server with a background-thread
 lifecycle (``start`` / ``shutdown`` / context manager) so tests and the
@@ -21,7 +22,7 @@ from typing import Any
 from urllib.parse import parse_qsl, urlsplit
 
 from repro.obs import get_logger
-from repro.service.app import ServiceApp
+from repro.service.frontend import FrontEnd
 
 _log = get_logger(__name__)
 
@@ -33,7 +34,7 @@ class _Handler(BaseHTTPRequestHandler):
     """Thin JSON-over-HTTP shim around ``app.handle``."""
 
     #: Set by :func:`make_server` on the generated subclass.
-    app: ServiceApp
+    app: FrontEnd
 
     server_version = "mweaver-service/1.0"
     protocol_version = "HTTP/1.1"  # keep-alive: every response is sized
@@ -115,7 +116,7 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 def make_server(
-    app: ServiceApp, host: str, port: int
+    app: FrontEnd, host: str, port: int
 ) -> ThreadingHTTPServer:
     """A bound (not yet serving) threading HTTP server for ``app``."""
     handler = type("MappingHandler", (_Handler,), {"app": app})
@@ -134,7 +135,7 @@ class MappingServer:
 
     def __init__(
         self,
-        app: ServiceApp,
+        app: FrontEnd,
         *,
         host: str | None = None,
         port: int | None = None,

@@ -2,8 +2,8 @@
 service and the cluster coordinator.
 
 Both front ends turn a malformed payload into a 400 with a readable
-message: handlers raise :class:`BadRequest`, and the transport-level
-``handle`` maps it, like every other :class:`~repro.exceptions.ReproError`,
+message: handlers raise :class:`BadRequest`, and the shared request
+frame maps it, like every other :class:`~repro.exceptions.ReproError`,
 to a status with :func:`error_response`.  Both label each request with
 :func:`route_template`.
 """
@@ -111,8 +111,9 @@ def error_response(error: Exception) -> Response:
     a missed deadline a 504, a full queue a 429 and a refusal (shed,
     drain, open breaker) a 503.  Those last two carry ``retry_after_s``
     and a ``Retry-After`` header.  Every other error is the caller's
-    fault: a 400.  Anything else is a bug, and each front end answers
-    it with its own 500.
+    fault: a 400.  Anything else is a bug, which the shared request
+    frame (:class:`~repro.service.frontend.FrontEnd`) answers with a
+    500.
     """
     body: dict[str, Any] = {"error": str(error)}
     if isinstance(error, UnknownSessionError):

@@ -329,6 +329,10 @@ class TestReplication:
         assert coordinator.reconciler.pending() == 1
         assert secondary not in session.synced
         clients[secondary].down = False
+        # Its last call failed: no ship until a heartbeat sees it healthy.
+        coordinator.reconciler.run_pass()
+        assert secondary not in session.synced
+        coordinator.health.probe_once()
         coordinator.reconciler.run_pass()
         assert coordinator.reconciler.pending() == 0
         assert secondary in session.synced
@@ -593,4 +597,9 @@ class TestDrainAndHealth:
             )
         assert status == 200
         assert "repro_cluster_sessions_live" in text
+        # The shared front end times every route, as the service does.
+        assert (
+            'repro_cluster_request_seconds_count{route="POST '
+            '/sessions/{id}/cells"} 4'
+        ) in text
         assert headers["Content-Type"].startswith("text/plain")

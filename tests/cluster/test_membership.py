@@ -190,6 +190,8 @@ class TestDecommission:
         assert coordinator.reconciler.pending() >= 1
         assert coordinator._session(session_id).primary == victim
         clients[survivor].down = False
+        # Its last call failed: no ship until a heartbeat sees it healthy.
+        coordinator.health.probe_once()
         drain_rebalance(coordinator)
         assert coordinator._session(session_id).primary == survivor
 

@@ -1,9 +1,9 @@
 """Tests for the subprocess harness (:mod:`repro.cluster.spawn`).
 
 Most of spawn.py is exercised implicitly by the chaos suite; these
-cover the pieces with subtle failure modes — the start-failure cleanup
-path (no leaked reader thread or stdout fd) and port pinning for
-supervisor respawns.
+cover the pieces with subtle failure modes — the start-failure and
+terminate cleanup paths (no leaked reader thread or stdout fd) and port
+pinning for supervisor respawns.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import threading
 
 import pytest
 
-from repro.cluster import ServerProcess
+from repro.cluster import ServerProcess, ShardProcess
 
 pytestmark = pytest.mark.slow  # spawns real python subprocesses
 
@@ -55,6 +55,15 @@ class TestStartFailureCleanup:
             with pytest.raises(RuntimeError):
                 proc.start(startup_timeout_s=30.0)
             assert proc._reader is None
+
+
+class TestTerminateCleanup:
+    def test_terminate_releases_reader_and_pipe(self):
+        proc = ShardProcess(workers=1, name="terminated").start()
+        assert proc.terminate() == 0  # SIGTERM drains and exits 0
+        assert proc._reader is None
+        assert proc.process.stdout.closed
+        assert "drained in" in proc.output()
 
 
 class TestPinnedArgs:

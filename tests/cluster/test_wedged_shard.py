@@ -11,16 +11,16 @@ Boots three real ``mweaver shard`` processes and a journaled
 ``mweaver cluster`` coordinator (R=2, ``--request-timeout 2``), freezes
 the victim session's primary with ``SIGSTOP`` mid-flow, and asserts:
 
-* every remaining cell answers 200 within ``failure_threshold ×
-  request_timeout`` plus slack, and the victim converges;
+* every remaining cell answers 200 within one ``request_timeout`` plus
+  slack, at most one of them (the failover) takes longer than
+  ``request_timeout``, and the victim converges;
 * a bystander session placed off the frozen shard is untouched;
 * after ``SIGCONT`` an anti-entropy repair reports the cluster
   converged.
 
-The per-cell bound is ``failure_threshold × request_timeout``, not one
-timeout: after the failover the reconciler re-ships the session to the
-frozen former primary under the session lock until the breaker opens,
-so the next cell can wait out one more call timeout.
+Only the failover pays the call timeout: the reconciler does not ship
+to the frozen former primary once a call to it has failed, so no later
+cell waits behind a ship holding the session lock.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ REQUEST_TIMEOUT_S = 2.0
 FAILURE_THRESHOLD = 2
 #: Scheduling and HTTP overhead on a loaded machine.
 SLACK_S = 2.0
-CELL_BOUND_S = FAILURE_THRESHOLD * REQUEST_TIMEOUT_S + SLACK_S
+CELL_BOUND_S = REQUEST_TIMEOUT_S + SLACK_S
 
 
 def _call(host, port, method, path, body=None, timeout_s=30.0):
@@ -132,6 +132,7 @@ def test_sigstopped_primary_is_routed_around_in_bounded_time(tmp_path):
             assert status == 200, (status, body, timings)
             assert body["applied"] is True
         assert max(timings) <= CELL_BOUND_S, timings
+        assert sum(t > REQUEST_TIMEOUT_S for t in timings) <= 1, timings
         assert body["samples"] == len(FLOW_CELLS)
         assert body["converged"] is True
 

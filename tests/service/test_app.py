@@ -15,6 +15,7 @@ class TestHealthAndMetrics:
         assert body["datasets"] == ["running"]
         assert body["sessions"] == 0
         assert body["workers"] == 2
+        assert body["pool"] == {"workers": 2, "busy": 0, "queue_depth": 0}
 
     def test_metrics_reports_cache_and_sessions(self, app):
         run_flow(app)

@@ -2,9 +2,12 @@
 
 In-process tests cover the app-level drain machinery (stop admitting,
 wait for in-flight, close) and the ``/healthz?ready=1`` readiness
-probe.  The slow tests run ``mweaver serve`` in a subprocess and send
-it real signals, asserting the contract: SIGTERM finishes in-flight
-requests, flushes the journal, and exits 0.
+probe.  The drain lifecycle is the shared front end's, so its cases run
+against both apps: :class:`TestCoordinatorDrain` reruns them through a
+coordinator over one in-process shard.  The slow tests run ``mweaver
+serve`` and ``mweaver cluster`` in subprocesses and send them real
+signals, asserting the contract: SIGTERM finishes in-flight requests,
+flushes the journal, and exits 0.
 """
 
 from __future__ import annotations
@@ -20,10 +23,23 @@ import time
 
 import pytest
 
+from repro.cluster import (
+    ClusterConfig,
+    CoordinatorApp,
+    CoordinatorProcess,
+    InProcessShardClient,
+    ShardProcess,
+)
+
 FIRST_ROW = ((0, 0, "Avatar"), (0, 1, "James Cameron"))
 
 
 class TestAppDrain:
+    @staticmethod
+    def managed(app, session_id):
+        """The managed session that runs ``session_id``'s inputs."""
+        return app.sessions.get(session_id)
+
     def test_draining_app_refuses_new_work_with_503(self, app):
         app.begin_drain()
         status, body, headers = app.handle("POST", "/sessions", {}, {})
@@ -48,7 +64,7 @@ class TestAppDrain:
     def test_drain_waits_for_in_flight_requests(self, app):
         status, body, _ = app.handle("POST", "/sessions", {}, {})
         session_id = body["session_id"]
-        managed = app.sessions.get(session_id)
+        managed = self.managed(app, session_id)
         entered = threading.Event()
 
         def slow_input(row, column, value, budget=None):
@@ -77,7 +93,7 @@ class TestAppDrain:
     def test_wait_idle_times_out_on_stuck_requests(self, app):
         status, body, _ = app.handle("POST", "/sessions", {}, {})
         session_id = body["session_id"]
-        managed = app.sessions.get(session_id)
+        managed = self.managed(app, session_id)
         entered = threading.Event()
         release = threading.Event()
 
@@ -133,6 +149,34 @@ class TestReadinessProbe:
         status, body, _ = app.handle("GET", "/healthz", {}, None)
         assert status == 200
         assert "ready" not in body
+
+
+SHARD = "127.0.0.1:9100"
+
+
+class TestCoordinatorDrain(TestAppDrain):
+    """The drain lifecycle through the coordinator's front end."""
+
+    @pytest.fixture
+    def app(self, make_app):
+        coordinator = CoordinatorApp(
+            ClusterConfig(shards=(SHARD,), replication=1),
+            clients={
+                SHARD: InProcessShardClient(SHARD, make_app(shard_mode=True))
+            },
+            start_background=False,
+        )
+        yield coordinator
+        coordinator.close()
+
+    @staticmethod
+    def managed(app, session_id):
+        """The shard's copy of the session runs the inputs."""
+        return app.clients[SHARD].app.sessions.get(session_id)
+
+    test_not_ready_while_draining = (
+        TestReadinessProbe.test_not_ready_while_draining
+    )
 
 
 # ----------------------------------------------------------------------
@@ -257,3 +301,34 @@ class TestSigtermDrain:
         process.stdout.close()
         assert exit_code == 0
         assert "drained in" in output
+
+    def test_coordinator_sigterm_drains_to_a_flushed_journal(self, tmp_path):
+        with ShardProcess(workers=2) as shard:
+            shard.start().wait_ready()
+            coordinator = CoordinatorProcess(
+                [shard.address], replication=1,
+                journal_dir=str(tmp_path / "coord"),
+            )
+            with coordinator:
+                port = coordinator.start().wait_ready().port
+                status, body = _request(port, "POST", "/sessions", {
+                    "columns": ["Name", "Director"],
+                })
+                assert status == 201, body
+                session_id = body["session_id"]
+                for row, column, value in FIRST_ROW:
+                    status, body = _request(
+                        port, "POST", f"/sessions/{session_id}/cells",
+                        {"row": row, "column": column, "value": value},
+                    )
+                    assert status == 200, body
+                exit_code = coordinator.terminate(timeout_s=120.0)
+        assert exit_code == 0
+        assert "drained in" in coordinator.output()
+        journal = tmp_path / "coord" / "cluster.journal"
+        records = [
+            json.loads(line)
+            for line in journal.read_text().strip().splitlines()
+        ]
+        assert [r["op"] for r in records] == ["create", "cell", "cell"]
+        assert {r["session_id"] for r in records} == {session_id}

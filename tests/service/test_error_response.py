@@ -1,9 +1,10 @@
 """Both front ends map request errors to the same statuses.
 
 ``error_response`` is the one exception-to-status ladder behind
-``ServiceApp.handle`` and ``CoordinatorApp.handle``; only the 500
-boundary stays per app.  Each case raises the error from the app's
-dispatcher and pins the status, body keys and headers the client sees.
+``ServiceApp.handle`` and ``CoordinatorApp.handle``, and the shared
+request frame holds the one 500 boundary.  Each case raises the error
+from the app's dispatcher and pins the status, body keys and headers
+the client sees.
 """
 
 from __future__ import annotations
@@ -89,15 +90,10 @@ def test_handled_errors_map_identically(
     assert got_headers == headers
 
 
-def test_unexpected_errors_hit_each_apps_own_500(front_end, monkeypatch):
+def test_unexpected_errors_hit_the_one_shared_500(front_end, monkeypatch):
     status, body, headers = _raise_from_dispatch(
         front_end, monkeypatch, RuntimeError("boom")
     )
     assert status == 500
-    assert body == {
-        "error": (
-            "internal error: boom" if isinstance(front_end, CoordinatorApp)
-            else "RuntimeError: boom"
-        )
-    }
+    assert body == {"error": "RuntimeError: boom"}
     assert "Retry-After" not in headers

@@ -158,6 +158,26 @@ class TestCommands:
             held.close()
             obs.disable_metrics()
 
+    def test_serve_bind_failure_restores_obs_state(self, capsys):
+        import socket
+
+        from repro import obs
+
+        tracer, metrics = obs.get_tracer(), obs.get_metrics()
+        held = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        try:
+            held.bind(("127.0.0.1", 0))
+            held.listen(1)
+            port = held.getsockname()[1]
+            assert main(["serve", "--port", str(port)]) == 1
+        finally:
+            held.close()
+        capsys.readouterr()
+        # serve installs an always-on tracer and a live registry; an
+        # in-process caller must get its own handles back.
+        assert obs.get_tracer() is tracer
+        assert obs.get_metrics() is metrics
+
     def test_interactive_suggestions(self, capsys, monkeypatch):
         lines = iter(
             [
