@@ -24,7 +24,7 @@ Subcommands
 ``top``
     Live terminal dashboard for a running service: polls ``/metrics``
     and ``/healthz``, renders request rates, latency quantiles, SLO
-    burn rates, worker occupancy and breaker states.  ``--once``
+    burn rates, worker occupancy and admission shedding.  ``--once``
     prints a single frame (scripts, CI smoke).
 ``datasets``
     Print the generated datasets' schema/size summaries.
@@ -383,7 +383,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             max_sessions=args.max_sessions,
             heartbeat_interval_s=args.heartbeat_interval,
             failure_threshold=args.failure_threshold,
-            breaker_reset_s=args.breaker_reset,
             request_timeout_s=args.request_timeout,
             hedge_delay_s=args.hedge_delay,
             journal_dir=args.journal_dir,
@@ -573,10 +572,6 @@ def _render_top_frame(
             f"admission: ewma job {admission.get('ewma_job_s', 0):.3f}s  "
             f"shed {admission.get('shed', 0)}"
         )
-    breakers = health.get("breakers") or []
-    open_breakers = [b["name"] for b in breakers if b["state"] != "closed"]
-    if open_breakers:
-        lines.append(f"breakers not closed: {', '.join(open_breakers)}")
 
     slo = metrics_body.get("slo") or {}
     if slo:
@@ -917,7 +912,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Route mapping sessions across replicated mweaver shard "
             "backends: consistent-hash placement with R-way replica "
-            "sets, heartbeat-driven circuit breakers, journal-replay "
+            "sets, heartbeat-driven shard health, journal-replay "
             "session failover, and hedged scatter-gather LocateSample. "
             "Speaks the same HTTP surface as serve. Exit codes: 2 on "
             "configuration errors, 1 on runtime failures."
@@ -958,13 +953,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cluster.add_argument(
         "--failure-threshold", type=int, default=3, metavar="N",
-        help="consecutive failures before a shard breaker opens "
+        help="consecutive failures before a shard is marked down "
              "(default: 3)",
-    )
-    cluster.add_argument(
-        "--breaker-reset", type=float, default=2.0, metavar="SECONDS",
-        help="shard breaker open window before a half-open trial "
-             "(default: 2)",
     )
     cluster.add_argument(
         "--request-timeout", type=float, default=10.0, metavar="SECONDS",
@@ -990,7 +980,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cluster.add_argument(
         "--readmit-threshold", type=int, default=2, metavar="N",
-        help="consecutive healthy probes a tripped shard must answer "
+        help="consecutive healthy probes a down shard must answer "
              "before routing resumes (default: 2)",
     )
     cluster.add_argument(
@@ -1050,8 +1040,8 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Poll GET /metrics and GET /healthz of a running "
             "'mweaver serve' and render request rates, latency "
-            "quantiles, SLO burn rates, worker occupancy and breaker "
-            "states. --once prints a single frame and exits."
+            "quantiles, SLO burn rates, worker occupancy and admission "
+            "shedding. --once prints a single frame and exits."
         ),
     )
     top.add_argument(

@@ -9,8 +9,10 @@ single shard's ``kill -9`` without losing accepted session state:
   sets; session placement that stays stable across shard churn,
 * :mod:`repro.cluster.client` — keep-alive shard clients that turn
   transport failures into typed routing signals,
-* :mod:`repro.cluster.health` — heartbeat probes feeding per-shard
-  circuit breakers (the reused :class:`repro.resilience.CircuitBreaker`),
+* :mod:`repro.cluster.health` — heartbeat probes and routed calls
+  feeding one consecutive-failure count per shard: down after
+  ``failure_threshold`` failures, back after ``readmit_threshold``
+  successes,
 * :mod:`repro.cluster.coordinator` — session routing with journal-
   replay failover and hedged scatter-gather LocateSample with
   partial-result degradation,
@@ -22,7 +24,7 @@ single shard's ``kill -9`` without losing accepted session state:
 * :mod:`repro.cluster.spawn` — subprocess harness for real topologies
   (chaos tests, the failover bench, CI smoke),
 * :mod:`repro.cluster.supervisor` — crashed-shard respawn with seeded
-  jittered backoff; re-admission rides the heartbeat half-open path.
+  jittered backoff; re-admission rides the heartbeats' healthy streak.
 
 The coordinator speaks the same HTTP surface as ``mweaver serve``, so
 existing clients, the load bench and ``mweaver top`` work against it

@@ -40,10 +40,8 @@ class ClusterConfig:
     max_sessions: int = 256
     #: Seconds between health-probe rounds against each shard.
     heartbeat_interval_s: float = 0.5
-    #: Consecutive probe/call failures that open a shard's breaker.
+    #: Consecutive probe/call failures that mark a shard down.
     failure_threshold: int = 3
-    #: Seconds an open shard breaker waits before allowing a probe.
-    breaker_reset_s: float = 2.0
     #: Consecutive healthy probes a tripped shard must answer before it
     #: is re-admitted to routing (the sustained-healthy window that
     #: keeps a flapping shard from oscillating in and out every round).
@@ -104,8 +102,6 @@ class ClusterConfig:
             raise ServiceConfigError("heartbeat_interval_s must be positive")
         if self.failure_threshold < 1:
             raise ServiceConfigError("failure_threshold must be >= 1")
-        if self.breaker_reset_s <= 0:
-            raise ServiceConfigError("breaker_reset_s must be positive")
         if self.request_timeout_s <= 0:
             raise ServiceConfigError("request_timeout_s must be positive")
         if self.hedge_delay_s < 0:

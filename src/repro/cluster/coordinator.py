@@ -19,9 +19,10 @@ Design:
   "Accepted" means the shard answered 200 with ``applied`` — the same
   only-what-was-kept rule the shards themselves journal under.
 * **Failover.** A session call walks the replica set: transport
-  failure feeds the shard's breaker and moves on; a shard that answers
-  404 for a session the coordinator knows is re-seated by shipping the
-  journaled grid to ``/admin/sessions/{id}/restore`` and retrying.
+  failure counts against the shard's health and moves on; a shard that
+  answers 404 for a session the coordinator knows is re-seated by
+  shipping the journaled grid to ``/admin/sessions/{id}/restore`` and
+  retrying.
   One mechanism covers a killed primary, a cold secondary, a restarted
   shard, and a restarted coordinator (lazy re-seat after journal
   replay).  Only when every replica is exhausted does the client see a
@@ -161,7 +162,6 @@ class CoordinatorApp(FrontEnd):
             self.clients,
             interval_s=self.config.heartbeat_interval_s,
             failure_threshold=self.config.failure_threshold,
-            reset_timeout_s=self.config.breaker_reset_s,
             readmit_threshold=self.config.readmit_threshold,
         )
         self.reconciler = Reconciler(
@@ -379,12 +379,12 @@ class CoordinatorApp(FrontEnd):
         hold ``session.lock``.  A shard outside ``session.synced`` is
         seated with the journaled grid before it serves, so a stale or
         unknown copy never answers; ``seats`` marks a call that is
-        itself such a restore (create).  A transport failure feeds the
-        breaker and moves on; a 404 from a shard that *should* hold the
-        session means it lost it (restart, eviction) — re-seat and
-        retry once.  Success promotes whichever shard answered to
-        primary.  Shard refusals (429 / 503 / 504) pass through: the
-        shard is alive, just busy.
+        itself such a restore (create).  A transport failure counts
+        against the shard's health and moves on; a 404 from a shard
+        that *should* hold the session means it lost it (restart,
+        eviction) — re-seat and retry once.  Success promotes whichever
+        shard answered to primary.  Shard refusals (429 / 503 / 504)
+        pass through: the shard is alive, just busy.
         """
         candidates = [session.primary] + [
             shard for shard in session.replicas
@@ -858,6 +858,8 @@ class CoordinatorApp(FrontEnd):
     def _health(self) -> tuple[dict[str, Any], list[str]]:
         shards = self.health.snapshot()
         up = sum(1 for shard in shards if shard["up"])
+        with self._membership_lock:
+            decommissioning = sorted(self._decommissioning)
         with self._sessions_lock:
             placement = {
                 session_id: {
@@ -885,7 +887,7 @@ class CoordinatorApp(FrontEnd):
             "pending": self.reconciler.pending(),
             "membership": {
                 "changes": self.membership_changes,
-                "decommissioning": sorted(self._decommissioning),
+                "decommissioning": decommissioning,
             },
             "repair": self.reconciler.snapshot(),
         }

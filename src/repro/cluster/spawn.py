@@ -268,7 +268,6 @@ class CoordinatorProcess(ServerProcess):
         journal_dir: str | None = None,
         heartbeat_interval_s: float = 0.25,
         failure_threshold: int = 2,
-        breaker_reset_s: float = 1.0,
         readmit_threshold: int | None = None,
         repair_interval_s: float | None = None,
         extra_args: tuple[str, ...] = (),
@@ -282,7 +281,6 @@ class CoordinatorProcess(ServerProcess):
             "--replication", str(replication),
             "--heartbeat-interval", str(heartbeat_interval_s),
             "--failure-threshold", str(failure_threshold),
-            "--breaker-reset", str(breaker_reset_s),
         ]
         if readmit_threshold is not None:
             args += ["--readmit-threshold", str(readmit_threshold)]

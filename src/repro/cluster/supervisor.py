@@ -1,21 +1,22 @@
 """Shard process supervision: watch, respawn with backoff, re-admit.
 
-The coordinator routes *around* a dead shard (breaker opens, failover
-promotes a replica) but nothing brings the process *back* — until now
-operators did that by hand.  :class:`ShardSupervisor` closes the loop:
+The coordinator routes *around* a dead shard (the health monitor marks
+it down, failover promotes a replica) but nothing brings the process
+*back* — until now operators did that by hand.
+:class:`ShardSupervisor` closes the loop:
 
 1. **Watch** — each managed :class:`~repro.cluster.spawn.ServerProcess`
    is polled; a child that exited is detected on the next poll.
 2. **Respawn** — the child is relaunched with the same args pinned to
    the same port (:meth:`ServerProcess.pinned_args`), after a seeded
-   jittered exponential backoff (:func:`backoff_delay`) keyed on the
+   jittered exponential backoff (:data:`RESPAWN_BACKOFF`) keyed on the
    shard's consecutive-failure count.  A crash-looping shard backs off
    to the 2 s cap instead of burning CPU in a respawn storm; a shard
    that comes back cleanly resets its counter.
 3. **Re-admit** — nothing to do explicitly: the respawned process
-   answers the coordinator's next heartbeats, and the health monitor's
-   sustained-healthy window (``readmit_threshold`` consecutive ok
-   probes through the breaker's half-open path) restores routing.
+   answers the coordinator's next heartbeats, and once
+   ``readmit_threshold`` consecutive probes succeed the health monitor
+   routes to it again.
 
 Determinism hooks for tests: ``rng`` (backoff jitter), ``clock`` /
 ``sleep`` (time), and :meth:`poll_once` (one synchronous sweep, no
@@ -34,25 +35,16 @@ from typing import Any
 
 from repro.cluster.spawn import ServerProcess
 from repro.obs import get_logger, get_metrics
+from repro.resilience.retry import RetryPolicy
 
 _log = get_logger(__name__)
 
-#: Respawn backoff: ``min(cap, base * 2**failures)`` with ±50% jitter.
-_BACKOFF_BASE_S = 0.05
-_BACKOFF_CAP_S = 2.0
-
-
-def backoff_delay(failures: int, rng: random.Random) -> float:
-    """The jittered respawn delay after ``failures`` consecutive failures.
-
-    Exponential (``base * 2**failures``) capped at :data:`_BACKOFF_CAP_S`,
-    then spread uniformly over [0.5x, 1.5x] so a fleet of restarting
-    shards does not re-collide.  The RNG is a parameter so chaos tests
-    can seed it and assert exact schedules instead of sleeping through
-    random backoff.
-    """
-    delay = min(_BACKOFF_CAP_S, _BACKOFF_BASE_S * (2 ** max(0, failures)))
-    return delay * (0.5 + rng.random())
+#: Respawn backoff after ``n`` consecutive failures:
+#: ``min(2 s, 0.05 s * 2**n)`` spread uniformly over [0.5x, 1.5x], so a
+#: fleet of restarting shards does not re-collide.
+RESPAWN_BACKOFF = RetryPolicy(
+    base_delay_s=0.05, multiplier=2.0, max_delay_s=2.0, jitter=0.5
+)
 
 
 @dataclass
@@ -159,7 +151,7 @@ class ShardSupervisor:
             now = self._clock()
             if entry.next_attempt_at == 0.0:
                 # Crash just detected: schedule, don't respawn yet.
-                delay = backoff_delay(entry.failures, self.rng)
+                delay = RESPAWN_BACKOFF.delay_for(entry.failures, self.rng)
                 entry.failures += 1
                 entry.next_attempt_at = now + delay
                 _log.warning(
@@ -177,7 +169,7 @@ class ShardSupervisor:
                 replacement = build(entry)
             except Exception as error:  # noqa: BLE001 - keep supervising
                 entry.last_error = str(error)
-                delay = backoff_delay(entry.failures, self.rng)
+                delay = RESPAWN_BACKOFF.delay_for(entry.failures, self.rng)
                 entry.failures += 1
                 entry.next_attempt_at = self._clock() + delay
                 _log.warning(

@@ -163,21 +163,6 @@ class DeadlineExceeded(ServiceError):
         self.deadline_s = deadline_s
 
 
-class CircuitOpenError(ServiceError):
-    """A circuit breaker is open: the backend is failing fast.
-
-    Raised by :class:`repro.resilience.CircuitBreaker` instead of
-    calling through to an operation that has failed repeatedly; carries
-    a ``retry_after_s`` hint for the caller (the HTTP layer maps this
-    to ``503 Service Unavailable``).
-    """
-
-    def __init__(self, name: str, *, retry_after_s: float = 1.0) -> None:
-        super().__init__(f"circuit open: {name}")
-        self.name = name
-        self.retry_after_s = retry_after_s
-
-
 class ServiceUnavailableError(ServiceError):
     """The service refuses the request but the process is healthy.
 
@@ -208,8 +193,8 @@ class ShardUnavailableError(ServiceError):
 
     Internal to :mod:`repro.cluster`: the coordinator's shard client
     raises this on connection failures, timeouts and unparseable
-    replies.  The coordinator treats it as a routing signal — record a
-    breaker failure, try the next replica — and only surfaces a
+    replies.  The coordinator treats it as a routing signal — count a
+    failure against the shard, try the next replica — and only surfaces a
     :class:`ServiceUnavailableError` (``reason="shard_down"``) once
     every replica of the session is exhausted.
     """

@@ -17,7 +17,7 @@ flaky backends and process crashes:
   backend, the inverted index, the dataset registry and the worker
   pool so robustness behavior is deterministic and testable.
 * :mod:`repro.resilience.retry` — retry with jittered exponential
-  backoff plus a circuit breaker around transient backend operations.
+  backoff around transient backend operations.
 * :mod:`repro.resilience.journal` — an append-only per-session journal
   of cell inputs so ``mweaver serve`` recovers every live session after
   a crash or restart.
@@ -52,11 +52,7 @@ from repro.resilience.journal import (
     SessionJournal,
     replay_journal,
 )
-from repro.resilience.retry import (
-    CircuitBreaker,
-    RetryPolicy,
-    retry_call,
-)
+from repro.resilience.retry import RetryPolicy, retry_call
 
 __all__ = [
     "Budget",
@@ -75,7 +71,6 @@ __all__ = [
     "active_injector",
     "RetryPolicy",
     "retry_call",
-    "CircuitBreaker",
     "SessionJournal",
     "JournaledSession",
     "replay_journal",

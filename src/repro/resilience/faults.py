@@ -3,7 +3,7 @@
 Robustness behavior is only trustworthy if it is *testable*: this
 module compiles named fault points into the backends the search leans
 on, so tests (and the chaos CI job) can inject errors, latency and
-partial results deterministically and assert the retry / breaker /
+partial results deterministically and assert the retry and
 degradation machinery does what the docs claim.
 
 Fault points (see :data:`FAULT_POINTS`) are plain function calls placed

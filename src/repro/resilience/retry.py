@@ -1,27 +1,25 @@
-"""Retry with jittered exponential backoff, plus a circuit breaker.
+"""Retry with jittered exponential backoff.
 
 Transient backend failures (a busy sqlite connection, a dataset build
 hiccup, an injected fault in a chaos run) should cost a retry, not a
-request.  Persistent failures should *stop* costing retries: the
-:class:`CircuitBreaker` counts consecutive failures and, past the
-threshold, fails fast for a cool-down period before letting a probe
-through (the classic closed → open → half-open cycle).
+request.  :func:`retry_call` runs an operation under a
+:class:`RetryPolicy` and re-raises the last error once the attempts run
+out; the shard supervisor reuses the same policy's
+:meth:`~RetryPolicy.delay_for` for its respawn backoff.
 
-Both pieces emit :mod:`repro.obs` metrics (``repro.retry.attempts``,
-``repro.retry.giveups``, ``repro.breaker.state``) and are deterministic
-under test: the RNG, sleep and clock are all injectable.
+Retries emit :mod:`repro.obs` metrics (``repro.retry.attempts``,
+``repro.retry.retries``, ``repro.retry.giveups``) and are deterministic
+under test: the RNG and sleep are injectable.
 """
 
 from __future__ import annotations
 
 import random
-import threading
 import time
 from collections.abc import Callable
 from dataclasses import dataclass
-from typing import Any, TypeVar
+from typing import TypeVar
 
-from repro.exceptions import CircuitOpenError
 from repro.obs import get_logger, get_metrics
 
 _log = get_logger(__name__)
@@ -71,7 +69,6 @@ def retry_call(
     *,
     policy: RetryPolicy | None = None,
     retry_on: tuple[type[BaseException], ...] = (Exception,),
-    breaker: "CircuitBreaker | None" = None,
     name: str = "operation",
     sleep: Callable[[float], None] = time.sleep,
     rng: random.Random | None = None,
@@ -79,25 +76,18 @@ def retry_call(
     """Run ``fn`` with retries; re-raise the last error when they run out.
 
     ``retry_on`` restricts which exceptions are considered transient —
-    anything else propagates immediately.  When ``breaker`` is given,
-    every attempt first consults it (an open circuit raises
-    :class:`~repro.exceptions.CircuitOpenError` without calling ``fn``)
-    and every outcome is reported back to it.
+    anything else propagates immediately.
     """
     policy = policy or RetryPolicy()
     rng = rng or random.Random()
     metrics = get_metrics()
     last_error: BaseException | None = None
     for attempt in range(policy.max_attempts):
-        if breaker is not None:
-            breaker.before_call()
         metrics.counter("repro.retry.attempts", op=name).inc()
         try:
-            result = fn()
+            return fn()
         except retry_on as error:
             last_error = error
-            if breaker is not None:
-                breaker.record_failure()
             if attempt + 1 >= policy.max_attempts:
                 break
             delay = policy.delay_for(attempt, rng)
@@ -108,141 +98,6 @@ def retry_call(
             )
             if delay > 0:
                 sleep(delay)
-        else:
-            if breaker is not None:
-                breaker.record_success()
-            return result
     metrics.counter("repro.retry.giveups", op=name).inc()
     assert last_error is not None
     raise last_error
-
-
-class CircuitBreaker:
-    """Consecutive-failure circuit breaker (closed → open → half-open).
-
-    * **closed** — calls pass through; ``failure_threshold``
-      consecutive failures trip the circuit.
-    * **open** — calls fail fast with
-      :class:`~repro.exceptions.CircuitOpenError` until
-      ``reset_timeout_s`` has elapsed.
-    * **half-open** — one probe call is let through; success closes the
-      circuit, failure re-opens it (and restarts the cool-down).
-
-    All transitions run under one lock and are mirrored to the
-    ``repro.breaker.state`` gauge (0 closed, 1 half-open, 2 open).
-    """
-
-    CLOSED = "closed"
-    OPEN = "open"
-    HALF_OPEN = "half_open"
-
-    def __init__(
-        self,
-        name: str,
-        *,
-        failure_threshold: int = 5,
-        reset_timeout_s: float = 30.0,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        if failure_threshold < 1:
-            raise ValueError("failure_threshold must be at least 1")
-        if reset_timeout_s <= 0:
-            raise ValueError("reset_timeout_s must be positive")
-        self.name = name
-        self.failure_threshold = failure_threshold
-        self.reset_timeout_s = reset_timeout_s
-        self._clock = clock
-        self._lock = threading.Lock()
-        self._state = self.CLOSED
-        self._consecutive_failures = 0
-        self._opened_at = 0.0
-        self._probing = False
-        self.opened_total = 0
-
-    # -- the protocol used by retry_call / call sites ------------------
-
-    def before_call(self) -> None:
-        """Gate one call; raise :class:`CircuitOpenError` when open."""
-        with self._lock:
-            if self._state == self.OPEN:
-                remaining = self.reset_timeout_s - (
-                    self._clock() - self._opened_at
-                )
-                if remaining > 0:
-                    raise CircuitOpenError(self.name, retry_after_s=remaining)
-                self._set_state(self.HALF_OPEN)
-                self._probing = True
-            elif self._state == self.HALF_OPEN:
-                if self._probing:
-                    raise CircuitOpenError(
-                        self.name,
-                        retry_after_s=self.reset_timeout_s,
-                    )
-                self._probing = True
-
-    def record_success(self) -> None:
-        """Report a successful call (closes a half-open circuit)."""
-        with self._lock:
-            self._consecutive_failures = 0
-            self._probing = False
-            if self._state != self.CLOSED:
-                self._set_state(self.CLOSED)
-
-    def record_failure(self) -> None:
-        """Report a failed call (may trip the circuit)."""
-        with self._lock:
-            self._consecutive_failures += 1
-            self._probing = False
-            if (
-                self._state == self.HALF_OPEN
-                or self._consecutive_failures >= self.failure_threshold
-            ):
-                if self._state != self.OPEN:
-                    self.opened_total += 1
-                self._opened_at = self._clock()
-                self._set_state(self.OPEN)
-
-    def call(self, fn: Callable[[], T]) -> T:
-        """Run one call through the breaker (no retries)."""
-        self.before_call()
-        try:
-            result = fn()
-        except Exception:
-            self.record_failure()
-            raise
-        self.record_success()
-        return result
-
-    # -- inspection ----------------------------------------------------
-
-    @property
-    def state(self) -> str:
-        """The current state name (``closed`` / ``open`` / ``half_open``)."""
-        with self._lock:
-            if self._state == self.OPEN and (
-                self._clock() - self._opened_at >= self.reset_timeout_s
-            ):
-                return self.HALF_OPEN
-            return self._state
-
-    def snapshot(self) -> dict[str, Any]:
-        """JSON-ready state for ``/healthz`` and tests."""
-        with self._lock:
-            return {
-                "name": self.name,
-                "state": self._state,
-                "consecutive_failures": self._consecutive_failures,
-                "failure_threshold": self.failure_threshold,
-                "reset_timeout_s": self.reset_timeout_s,
-                "opened_total": self.opened_total,
-            }
-
-    # -- internals -----------------------------------------------------
-
-    def _set_state(self, state: str) -> None:
-        """Transition (caller holds the lock) and mirror to metrics."""
-        if state != self._state:
-            _log.info("breaker %r: %s -> %s", self.name, self._state, state)
-        self._state = state
-        level = {self.CLOSED: 0, self.HALF_OPEN: 1, self.OPEN: 2}[state]
-        get_metrics().gauge("repro.breaker.state", breaker=self.name).set(level)

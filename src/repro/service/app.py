@@ -25,9 +25,9 @@ API surface (all JSON)::
     GET    /debug/requests/{id}       -> one request's stitched trace
 
 Failure mapping: unknown/evicted session -> 404, malformed input -> 400,
-full work queue or session table -> 429 with ``Retry-After``, an open
-dataset-build circuit breaker -> 503 with ``Retry-After``, a missed
-request deadline -> 504, anything unexpected -> 500.  The request frame,
+full work queue or session table -> 429 with ``Retry-After``, a shed or
+draining request -> 503 with ``Retry-After``, a missed request deadline
+-> 504, anything unexpected -> 500.  The request frame,
 drain and RED metrics are the shared
 :class:`~repro.service.frontend.FrontEnd`'s: every request runs inside a
 ``service.request`` span; search/prune work executes on the worker pool,
@@ -54,8 +54,8 @@ recorder with its full stitched span tree, retrievable via
 ``/debug/requests/{id}`` and tagged with the ``X-Request-Id`` response
 header.  ``GET /metrics?format=prometheus`` serves the whole registry
 as text exposition, with the formerly ``/healthz``-only state (admission
-estimate, breaker states, cache hit rates, pool occupancy) folded in as
-gauges on every scrape.
+estimate, cache hit rates, pool occupancy) folded in as gauges on every
+scrape.
 """
 
 from __future__ import annotations
@@ -174,19 +174,10 @@ class ServiceApp(FrontEnd):
                     raise SessionError(
                         f"dataset {journaled.dataset!r} is not served"
                     )
-                factory = self._session_factory(
-                    journaled.dataset, journaled.columns,
-                    on_irrelevant=journaled.on_irrelevant,
+                self._rebuild_session(
+                    session_id, journaled.dataset, journaled.columns,
+                    journaled.grid(), on_irrelevant=journaled.on_irrelevant,
                 )
-                managed = self.sessions.create(
-                    journaled.dataset, factory, session_id=session_id
-                )
-                try:
-                    with managed.lock:
-                        managed.session.load_cells(journaled.grid())
-                except Exception:
-                    self.sessions.remove(session_id)
-                    raise
                 restored[session_id] = journaled
             except Exception as error:  # noqa: BLE001 - isolate per session
                 _log.warning(
@@ -203,6 +194,33 @@ class ServiceApp(FrontEnd):
         get_metrics().counter("repro.service.sessions.recovered").inc(
             len(restored)
         )
+
+    def _rebuild_session(
+        self,
+        session_id: str,
+        dataset: str,
+        columns,
+        grid: dict[tuple[int, int], str],
+        *,
+        on_irrelevant: str,
+    ) -> ManagedSession:
+        """Create ``session_id`` afresh and replay ``grid`` into it.
+
+        The one rebuild path of journal recovery and shard restores: if
+        the replay fails, the half-built session is removed again and
+        the error propagates.
+        """
+        factory = self._session_factory(
+            dataset, columns, on_irrelevant=on_irrelevant
+        )
+        managed = self.sessions.create(dataset, factory, session_id=session_id)
+        try:
+            with managed.lock:
+                managed.session.load_cells(grid)
+        except Exception:
+            self.sessions.remove(session_id)
+            raise
+        return managed
 
     def _session_factory(self, dataset: str, columns, *, on_irrelevant="ignore"):
         """A session constructor for ``dataset``."""
@@ -549,17 +567,10 @@ class ServiceApp(FrontEnd):
             # re-records the restored state, keeping the shard's own
             # journal consistent with what is actually live.
             self.sessions.remove(session_id)
-        factory = self._session_factory(
-            dataset, list(columns), on_irrelevant=on_irrelevant
+        managed = self._rebuild_session(
+            session_id, dataset, list(columns), grid,
+            on_irrelevant=on_irrelevant,
         )
-        managed = self.sessions.create(dataset, factory, session_id=session_id)
-        try:
-            with managed.lock:
-                if grid:
-                    managed.session.load_cells(grid)
-        except Exception:
-            self.sessions.remove(session_id)
-            raise
         if self.journal is not None:
             self.journal.record_create(
                 session_id, dataset,
@@ -643,13 +654,8 @@ class ServiceApp(FrontEnd):
         }, {}
 
     def _health(self) -> tuple[dict[str, Any], list[str]]:
-        # An open breaker means a dataset is failing to build: existing
-        # sessions still work, so liveness stays 200 ("degraded") while
-        # readiness turns the instance away.
-        breakers = self.registry.breaker_snapshots()
-        degraded = any(b["state"] != "closed" for b in breakers)
         body: dict[str, Any] = {
-            "status": "degraded" if degraded else "ok",
+            "status": "ok",
             "uptime_s": round(time.time() - self.started_at, 3),
             "datasets": (
                 list(self.registry.loaded()) or list(self.config.datasets)
@@ -658,7 +664,6 @@ class ServiceApp(FrontEnd):
             "max_sessions": self.config.max_sessions,
             "workers": self.config.workers,
             "queue_size": self.config.queue_size,
-            "breakers": breakers,
             "search_deadline_s": self.config.effective_search_deadline_s,
             "admission": self.admission.snapshot(),
             "pool": self.pool.snapshot(),
@@ -672,17 +677,13 @@ class ServiceApp(FrontEnd):
                 else None
             ),
         }
-        blockers = [
-            f"breaker:{b['name']}" for b in breakers if b["state"] == "open"
-        ]
-        return body, blockers
+        return body, []
 
     def _refresh_gauges(self) -> None:
         """Fold live operational state into the metrics registry.
 
         Runs on every ``/metrics`` scrape so one scrape sees the whole
-        picture: the admission estimate, per-dataset breaker states,
-        cache hit rates, session/journal/pool occupancy and SLO burn
+        picture: the admission estimate, cache hit rates, session/journal/pool occupancy and SLO burn
         rates that previously lived only in ``/healthz`` JSON all
         become ordinary gauges here.
         """
@@ -703,18 +704,6 @@ class ServiceApp(FrontEnd):
             admission.get("ewma_job_s") or 0.0
         )
         metrics.gauge("repro.admission.shed").set(admission.get("shed", 0))
-        for breaker in self.registry.breaker_snapshots():
-            # closed=0, half_open=1, open=2 — alert on anything > 0.
-            state = {"closed": 0, "half_open": 1, "open": 2}.get(
-                str(breaker.get("state")), 2
-            )
-            # Breaker names look like "registry.build:running"; the
-            # label keeps just the dataset part.
-            name = str(breaker.get("name", "?"))
-            metrics.gauge(
-                "repro.breaker.state",
-                dataset=name.rsplit(":", 1)[-1],
-            ).set(state)
         if self.location_cache is not None:
             stats = self.location_cache.stats()
             metrics.gauge("repro.location_cache.hits").set(stats["hits"])

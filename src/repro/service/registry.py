@@ -31,7 +31,7 @@ from repro.exceptions import ServiceConfigError
 from repro.obs import get_logger, get_metrics
 from repro.relational.database import Database
 from repro.resilience.faults import fault_point
-from repro.resilience.retry import CircuitBreaker, RetryPolicy, retry_call
+from repro.resilience.retry import RetryPolicy, retry_call
 from repro.text.errors import ErrorModel
 
 _log = get_logger(__name__)
@@ -69,10 +69,9 @@ class DatasetRegistry:
 
     Builds are fault-tolerant: transient failures (the
     ``registry.build`` fault point, an I/O hiccup in a generator) are
-    retried with jittered backoff, and a per-dataset circuit breaker
-    fails fast once a dataset keeps failing — so a broken dataset name
-    cannot stall every request that touches it.  Breaker state feeds
-    the service's ``/healthz``.
+    retried with jittered backoff (:data:`BUILD_RETRY`).  The service
+    preloads every served dataset at startup, so a build that keeps
+    failing fails the start, not a request.
     """
 
     def __init__(
@@ -81,43 +80,23 @@ class DatasetRegistry:
         scale: int = 150,
         builder: Callable[[str, int], Database] | None = None,
         retry_policy: RetryPolicy | None = None,
-        breaker_threshold: int = 3,
-        breaker_reset_s: float = 30.0,
     ) -> None:
         self._scale = scale
         self._builder = builder or _build_dataset
         self._lock = threading.Lock()
         self._databases: dict[str, Database] = {}
         self._retry = retry_policy or BUILD_RETRY
-        self._breaker_threshold = breaker_threshold
-        self._breaker_reset_s = breaker_reset_s
-        self._breakers: dict[str, CircuitBreaker] = {}
 
     def preload(self, names: Sequence[str]) -> None:
         """Build (and index-warm) every named dataset up-front."""
         for name in names:
             self.get(name)
 
-    def _breaker(self, name: str) -> CircuitBreaker:
-        """The per-dataset build breaker (created on first use)."""
-        breaker = self._breakers.get(name)
-        if breaker is None:
-            breaker = CircuitBreaker(
-                f"registry.build:{name}",
-                failure_threshold=self._breaker_threshold,
-                reset_timeout_s=self._breaker_reset_s,
-            )
-            self._breakers[name] = breaker
-        return breaker
-
     def get(self, name: str) -> Database:
         """The shared database for ``name``, built on first request.
 
-        Raises
-        ------
-        CircuitOpenError
-            When the dataset's build breaker is open (recent builds
-            kept failing); the HTTP layer maps this to 503.
+        Raises the last build error once the retry policy's attempts
+        run out.
         """
         with self._lock:
             db = self._databases.get(name)
@@ -134,7 +113,6 @@ class DatasetRegistry:
                     _build,
                     policy=self._retry,
                     retry_on=(Exception,),
-                    breaker=self._breaker(name),
                     name=f"registry.build:{name}",
                 )
                 self._databases[name] = db
@@ -144,14 +122,6 @@ class DatasetRegistry:
         """Names of the datasets built so far, sorted."""
         with self._lock:
             return tuple(sorted(self._databases))
-
-    def breaker_snapshots(self) -> list[dict]:
-        """Per-dataset build-breaker state for ``/healthz``."""
-        with self._lock:
-            return [
-                self._breakers[name].snapshot()
-                for name in sorted(self._breakers)
-            ]
 
 
 def normalize_sample(sample: str) -> str:

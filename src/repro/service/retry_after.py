@@ -1,8 +1,8 @@
 """One Retry-After policy for every refusal path in the service.
 
-Three independent code paths used to compute the ``Retry-After`` header
-on refusals — queue-full 429s, shed/drain 503s and breaker-open 503s —
-each with its own rounding.  ``round()`` in particular under-hints:
+Independent code paths used to compute the ``Retry-After`` header on
+refusals — queue-full 429s and shed/drain 503s — each with its own
+rounding.  ``round()`` in particular under-hints:
 a 1.4-second estimate became ``Retry-After: 1``, inviting clients back
 *before* the hinted window had passed.  This module is the single
 source of truth:

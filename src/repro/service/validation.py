@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Any, Sequence
 
 from repro.exceptions import (
-    CircuitOpenError,
     DeadlineExceeded,
     ServiceOverloadedError,
     ServiceUnavailableError,
@@ -109,7 +108,7 @@ def error_response(error: Exception) -> Response:
     ``error`` is a :class:`BadRequest` or a
     :class:`~repro.exceptions.ReproError`: an unknown session is a 404,
     a missed deadline a 504, a full queue a 429 and a refusal (shed,
-    drain, open breaker) a 503.  Those last two carry ``retry_after_s``
+    drain, shard down) a 503.  Those last two carry ``retry_after_s``
     and a ``Retry-After`` header.  Every other error is the caller's
     fault: a 400.  Anything else is a bug, which the shared request
     frame (:class:`~repro.service.frontend.FrontEnd`) answers with a
@@ -125,8 +124,6 @@ def error_response(error: Exception) -> Response:
     elif isinstance(error, ServiceUnavailableError):
         status = 503
         body["reason"] = error.reason
-    elif isinstance(error, CircuitOpenError):
-        status = 503
     else:
         return 400, body, {}
     body["retry_after_s"] = error.retry_after_s

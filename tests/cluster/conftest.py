@@ -73,9 +73,6 @@ def make_cluster(cluster_registry):
             replication=replication,
             heartbeat_interval_s=0.05,
             failure_threshold=2,
-            # Long reset: a downed shard stays down for the whole test
-            # instead of sneaking back through a half-open trial.
-            breaker_reset_s=600.0,
             hedge_delay_s=0.0,  # hedging off by default (deterministic)
         )
         settings.update(overrides)
@@ -120,7 +117,7 @@ def run_flow(coordinator: CoordinatorApp) -> tuple[str, dict]:
     return session_id, json.loads(text)
 
 
-def open_breaker(coordinator: CoordinatorApp, shard: str) -> None:
-    """Trip one shard's breaker deterministically (no probe thread)."""
+def mark_down(coordinator: CoordinatorApp, shard: str) -> None:
+    """Mark one shard down deterministically (no probe thread)."""
     while coordinator.health.is_up(shard):
         coordinator.health.record_failure(shard)

@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from tests.cluster.conftest import FLOW_CELLS, open_breaker, run_flow
+from tests.cluster.conftest import FLOW_CELLS, mark_down, run_flow
 
 
 def _candidates(coordinator, session_id):
@@ -127,7 +127,7 @@ class TestFailover:
         old_primary = session.primary
 
         clients[old_primary].down = True
-        open_breaker(coordinator, old_primary)
+        mark_down(coordinator, old_primary)
 
         after = _candidates(coordinator, session_id)
         assert after["candidates"] == before["candidates"]
@@ -150,7 +150,7 @@ class TestFailover:
         assert coordinator.reconciler.pending() > 0  # not yet shipped
 
         clients[session.primary].down = True
-        open_breaker(coordinator, session.primary)
+        mark_down(coordinator, session.primary)
         after = _candidates(coordinator, session_id)
         assert after["candidates"] == before["candidates"]
         restores = [
@@ -176,7 +176,7 @@ class TestFailover:
             if path.endswith("/restore")
         )
         clients[session.primary].down = True
-        open_breaker(coordinator, session.primary)
+        mark_down(coordinator, session.primary)
         after = _candidates(coordinator, session_id)
         assert after["candidates"] == before["candidates"]
         restores_after = sum(
@@ -192,7 +192,7 @@ class TestFailover:
         session_id, _before = run_flow(coordinator)
         session = coordinator._session(session_id)
         clients[session.primary].down = True
-        open_breaker(coordinator, session.primary)
+        mark_down(coordinator, session.primary)
         status, body, _ = coordinator.handle(
             "POST", f"/sessions/{session_id}/cells", {},
             {"row": 2, "column": 0, "value": "Titanic"},
@@ -217,7 +217,7 @@ class TestFailover:
         for shard in session.replicas:
             if shard != primary:
                 clients[shard].down = True
-                open_breaker(coordinator, shard)
+                mark_down(coordinator, shard)
         client = clients[primary]
         applied = client.call
 
@@ -248,7 +248,7 @@ class TestFailover:
         session = coordinator._session(session_id)
         for shard in session.replicas:
             clients[shard].down = True
-            open_breaker(coordinator, shard)
+            mark_down(coordinator, shard)
         status, body, headers = coordinator.handle(
             "GET", f"/sessions/{session_id}/candidates", {}, None
         )
@@ -268,7 +268,7 @@ class TestFailover:
             session_id, before = run_flow(coordinator)
             victim = coordinator.config.shards[victim_index]
             clients[victim].down = True
-            open_breaker(coordinator, victim)
+            mark_down(coordinator, victim)
             after = _candidates(coordinator, session_id)
             assert after["candidates"] == before["candidates"], victim
             status, body, _ = coordinator.handle(
@@ -392,7 +392,7 @@ class TestLocate:
         for shard in shards:
             if shard != survivor:
                 clients[shard].down = True
-                open_breaker(coordinator, shard)
+                mark_down(coordinator, shard)
         status, body, _ = coordinator.handle(
             "GET", "/locate",
             {"dataset": "running", "sample": "Tim Burton"}, None,
@@ -410,7 +410,7 @@ class TestLocate:
         coordinator, _apps, clients = make_cluster()
         for shard in coordinator.config.shards:
             clients[shard].down = True
-            open_breaker(coordinator, shard)
+            mark_down(coordinator, shard)
         status, body, _ = coordinator.handle(
             "GET", "/locate",
             {"dataset": "running", "sample": "Tim Burton"}, None,
@@ -467,7 +467,6 @@ class TestJournalRecovery:
                 journal_dir=str(tmp_path),
                 heartbeat_interval_s=0.05,
                 failure_threshold=2,
-                breaker_reset_s=600.0,
                 hedge_delay_s=0.0,
             ),
             clients=clients,
@@ -508,7 +507,6 @@ class TestJournalRecovery:
                 journal_dir=str(tmp_path),
                 heartbeat_interval_s=0.05,
                 failure_threshold=2,
-                breaker_reset_s=600.0,
                 hedge_delay_s=0.0,
             ),
             clients=clients,
@@ -542,7 +540,6 @@ class TestJournalRecovery:
                 journal_dir=str(tmp_path),
                 heartbeat_interval_s=0.05,
                 failure_threshold=2,
-                breaker_reset_s=600.0,
                 hedge_delay_s=0.0,
             ),
             clients=clients,
@@ -569,6 +566,46 @@ class TestDrainAndHealth:
         )
         assert status == 503
         assert "Retry-After" in headers
+
+    def test_not_ready_once_every_shard_is_down(self, make_cluster):
+        coordinator, _apps, _clients = make_cluster()
+        for shard in coordinator.health.shards():
+            mark_down(coordinator, shard)
+        status, body, headers = coordinator.handle(
+            "GET", "/healthz", {"ready": "1"}, None
+        )
+        assert status == 503
+        assert body["ready"] is False
+        assert body["ready_blockers"] == ["no_healthy_shard"]
+        assert int(headers["Retry-After"]) >= 1
+        # Liveness still answers: the coordinator itself is fine.
+        status, body, _ = coordinator.handle("GET", "/healthz", {}, None)
+        assert status == 200
+        assert body["status"] == "degraded"
+        assert body["shards_up"] == 0
+        assert all(
+            entry["consecutive_failures"] >= 2 for entry in body["shards"]
+        )
+
+    def test_healthz_reads_the_decommission_set_under_the_lock(
+        self, make_cluster
+    ):
+        """The reconciler discards from the set under the membership
+        lock; an unlocked read can die with "Set changed size during
+        iteration" and turn ``/healthz`` into a 500."""
+        coordinator, _apps, _clients = make_cluster()
+        lock = coordinator._membership_lock
+
+        class LockCheckedSet(set):
+            def __iter__(self):
+                assert lock._is_owned(), "read without _membership_lock"
+                return super().__iter__()
+
+        shard = coordinator.health.shards()[0]
+        coordinator._decommissioning = LockCheckedSet({shard})
+        status, body, _ = coordinator.handle("GET", "/healthz", {}, None)
+        assert status == 200, body
+        assert body["membership"]["decommissioning"] == [shard]
 
     def test_healthz_placement_names_the_primary(self, make_cluster):
         coordinator, _apps, _clients = make_cluster()

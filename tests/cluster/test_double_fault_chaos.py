@@ -91,7 +91,6 @@ def test_double_fault_with_repair_in_between_loses_nothing(tmp_path):
             [shard.address for shard in shards],
             journal_dir=str(tmp_path / "coord"),
             heartbeat_interval_s=0.15,
-            breaker_reset_s=0.5,
             readmit_threshold=2,
             repair_interval_s=0.25,
         ).start().wait_ready()

@@ -82,7 +82,7 @@ def test_kill9_of_the_primary_loses_zero_accepted_state(tmp_path):
         assert not victim.alive()
 
         # ...second half after it.  Transient refusals (503/504) are
-        # allowed while the breaker notices; 5xx other than that — and
+        # allowed while the coordinator notices; 5xx other than that — and
         # any lost cell — is a failure.
         statuses: list[int] = []
         for row, column, value in FLOW_CELLS[2:]:

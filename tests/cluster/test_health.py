@@ -1,4 +1,5 @@
-"""Tests for heartbeat-driven shard health and circuit breakers."""
+"""Tests for heartbeat-driven shard health: the per-shard failure count
+that marks a shard down and the healthy streak that re-admits it."""
 
 from __future__ import annotations
 
@@ -24,7 +25,6 @@ def make_monitor(shards=("a:1", "b:1", "c:1"), **overrides):
     settings = dict(
         interval_s=0.05,
         failure_threshold=2,
-        reset_timeout_s=600.0,
         probe=script,
     )
     settings.update(overrides)
@@ -55,37 +55,29 @@ class TestProbes:
         assert monitor.up_shards() == ("a:1", "c:1")
 
     def test_sustained_healthy_probes_readmit_a_tripped_shard(self):
-        clock = [0.0]
-        monitor, script = make_monitor(
-            reset_timeout_s=5.0, readmit_threshold=2,
-            clock=lambda: clock[0],
-        )
+        monitor, script = make_monitor(readmit_threshold=2)
         script.healthy["b:1"] = False
         monitor.probe_once()
         monitor.probe_once()
         assert not monitor.is_up("b:1")
         script.healthy["b:1"] = True
-        clock[0] = 10.0  # past the reset window: half-open trials begin
         # One healthy probe is a trial, not a recovery...
         monitor.probe_once()
         assert not monitor.is_up("b:1")
-        # ...the second sustained success re-admits and closes fully.
+        # ...the second sustained success re-admits with a clean count.
         monitor.probe_once()
         assert monitor.is_up("b:1")
-        assert monitor.breakers["b:1"].state == "closed"
+        entry = {e["shard"]: e for e in monitor.snapshot()}["b:1"]
+        assert entry["up"] is True
+        assert entry["consecutive_failures"] == 0
 
     def test_readmit_threshold_one_restores_single_probe_recovery(self):
-        clock = [0.0]
-        monitor, script = make_monitor(
-            reset_timeout_s=5.0, readmit_threshold=1,
-            clock=lambda: clock[0],
-        )
+        monitor, script = make_monitor(readmit_threshold=1)
         script.healthy["b:1"] = False
         monitor.probe_once()
         monitor.probe_once()
         assert not monitor.is_up("b:1")
         script.healthy["b:1"] = True
-        clock[0] = 10.0
         monitor.probe_once()
         assert monitor.is_up("b:1")
 
@@ -128,18 +120,16 @@ class TestFlapping:
     def test_alternating_probes_do_not_oscillate_routing(self):
         """A flapping shard must stay out of routing, not bounce.
 
-        Alternating ok/fail heartbeats past the breaker's reset window
-        used to re-admit the shard on every lucky probe and evict it on
-        the next — routing whiplash.  With a sustained-healthy window
-        of 2, a single success between failures never re-admits.
+        Re-admitting on the first healthy heartbeat would let
+        alternating ok/fail heartbeats re-admit the shard on every
+        lucky probe and evict it on the next — routing whiplash.  With
+        a sustained-healthy window of 2, a single success between
+        failures never re-admits.
         """
-        clock = [0.0]
         monitor, script = make_monitor(
             shards=("a:1", "b:1"),
             failure_threshold=2,
-            reset_timeout_s=0.001,  # worst case: every probe is half-open
             readmit_threshold=2,
-            clock=lambda: clock[0],
         )
         script.healthy["b:1"] = False
         monitor.probe_once()
@@ -149,7 +139,6 @@ class TestFlapping:
         previously_up = monitor.is_up("b:1")
         for round_number in range(30):
             script.healthy["b:1"] = round_number % 2 == 0
-            clock[0] += 1.0
             monitor.probe_once()
             now_up = monitor.is_up("b:1")
             if now_up != previously_up:
@@ -164,13 +153,10 @@ class TestFlapping:
         assert monitor.is_up("b:1")
 
     def test_routed_call_failure_resets_the_healthy_streak(self):
-        clock = [0.0]
         monitor, script = make_monitor(
             shards=("a:1", "b:1"),
             failure_threshold=2,
-            reset_timeout_s=0.001,
             readmit_threshold=3,
-            clock=lambda: clock[0],
         )
         script.healthy["b:1"] = False
         monitor.probe_once()
@@ -240,7 +226,12 @@ class TestSnapshot:
         assert by_shard["a:1"]["last_probe_ok"] is True
         assert by_shard["c:1"]["up"] is False
         assert by_shard["c:1"]["last_probe_ok"] is False
-        assert by_shard["c:1"]["breaker"]["state"] == "open"
+        assert by_shard["a:1"]["consecutive_failures"] == 0
+        assert by_shard["c:1"]["consecutive_failures"] == 2
+        assert set(by_shard["c:1"]) == {
+            "shard", "up", "last_probe_ok", "healthy_streak",
+            "consecutive_failures",
+        }
 
 
 class TestThread:

@@ -4,7 +4,8 @@ The CI cluster-smoke job runs these to prove two operational claims:
 
 1. **Rolling restart** — every shard can be restarted in sequence
    under light load with zero non-refusal errors (only 503/504 while
-   the breaker notices each bounce) and zero accepted-state loss.
+   the health monitor notices each bounce) and zero accepted-state
+   loss.
 2. **Live membership** — a real shard process can join a running
    cluster through ``POST /admin/shards`` and another can be
    decommissioned through ``DELETE /admin/shards/{address}``, with
@@ -112,7 +113,6 @@ def test_rolling_restart_under_load_loses_nothing(tmp_path):
             [shard.address for shard in shards],
             journal_dir=str(tmp_path / "coord"),
             heartbeat_interval_s=0.15,
-            breaker_reset_s=0.5,
             readmit_threshold=2,
             repair_interval_s=0.25,
         ).start().wait_ready()
@@ -173,7 +173,6 @@ def test_live_join_and_decommission_under_real_processes(tmp_path):
             [shard.address for shard in shards],
             journal_dir=str(tmp_path / "coord"),
             heartbeat_interval_s=0.15,
-            breaker_reset_s=0.5,
             readmit_threshold=2,
             repair_interval_s=0.25,
         ).start().wait_ready()

@@ -11,7 +11,7 @@ import random
 import pytest
 
 from repro.cluster import ShardSupervisor
-from repro.cluster.supervisor import backoff_delay
+from repro.cluster.supervisor import RESPAWN_BACKOFF
 
 
 class FakeProcess:
@@ -70,7 +70,7 @@ class TestWatch:
         assert supervisor.poll_once() == []
         assert respawns == []
         entry = supervisor._managed["s0"]
-        expected_delay = backoff_delay(0, random.Random(7))
+        expected_delay = RESPAWN_BACKOFF.delay_for(0, random.Random(7))
         assert entry.next_attempt_at == pytest.approx(
             100.0 + expected_delay
         )
@@ -99,7 +99,7 @@ class TestWatch:
         delays = []
         expected = []
         for failures in range(4):
-            expected.append(backoff_delay(failures, reference_rng))
+            expected.append(RESPAWN_BACKOFF.delay_for(failures, reference_rng))
             supervisor.poll_once()  # schedule (or fail the respawn)
             delays.append(entry.next_attempt_at - clock[0])
             clock[0] = entry.next_attempt_at + 0.001

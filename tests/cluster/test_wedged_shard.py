@@ -153,8 +153,8 @@ def test_sigstopped_primary_is_routed_around_in_bounded_time(tmp_path):
 
         os.kill(stopped_pid, signal.SIGCONT)
         stopped_pid = None
-        # The thawed shard is re-admitted after its breaker's reset
-        # window; until then the scan counts it unverified.
+        # The thawed shard is re-admitted after readmit_threshold
+        # healthy heartbeats; until then the scan counts it unverified.
         deadline = time.monotonic() + 30.0
         while True:
             status, repair = _call(host, port, "POST", "/admin/repair")

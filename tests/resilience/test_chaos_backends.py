@@ -1,17 +1,16 @@
-"""Chaos tests: injected faults vs. the retry/breaker/typed-error layer.
+"""Chaos tests: injected faults vs. the retry/typed-error layer.
 
 Each test arms a named fault point and asserts the surrounding
 machinery does exactly what the docs claim — transient faults are
-absorbed by retries, persistent ones surface as typed errors, repeated
-build failures trip the registry breaker, and a flaky index degrades
-results instead of crashing the probe.
+absorbed by retries, persistent ones surface as typed errors, and a
+flaky index degrades results instead of crashing the probe.
 """
 
 import sqlite3
 
 import pytest
 
-from repro.exceptions import BackendError, CircuitOpenError
+from repro.exceptions import BackendError
 from repro.relational.sqlite_backend import (
     BUSY_TIMEOUT_MS,
     connect,
@@ -102,16 +101,7 @@ class TestSqliteLoad:
 
 
 class TestRegistryBreaker:
-    def _registry(self, builder, **kwargs):
-        settings = dict(
-            retry_policy=RetryPolicy(
-                max_attempts=1, base_delay_s=0.0, jitter=0.0
-            ),
-            breaker_threshold=2,
-            breaker_reset_s=60.0,
-        )
-        settings.update(kwargs)
-        return DatasetRegistry(builder=builder, **settings)
+    """Dataset builds retry transient faults."""
 
     def test_transient_build_fault_is_retried(self, running_db):
         registry = DatasetRegistry(
@@ -124,30 +114,6 @@ class TestRegistryBreaker:
         with injector:
             assert registry.get("running") is running_db
         assert injector.fired["registry.build"] == 2
-
-    def test_breaker_opens_and_fails_fast(self, running_db):
-        registry = self._registry(lambda _n, _s: running_db)
-        with FaultInjector([FaultSpec("registry.build")]):
-            for _ in range(2):
-                with pytest.raises(InjectedFault):
-                    registry.get("running")
-        # Faults removed — but the breaker is open, so no build runs.
-        with pytest.raises(CircuitOpenError):
-            registry.get("running")
-        snapshots = registry.breaker_snapshots()
-        assert snapshots[0]["state"] == "open"
-        assert snapshots[0]["name"] == "registry.build:running"
-
-    def test_breakers_are_per_dataset(self, running_db):
-        registry = self._registry(lambda _n, _s: running_db)
-        with FaultInjector([FaultSpec("registry.build")]):
-            for _ in range(2):
-                with pytest.raises(InjectedFault):
-                    registry.get("yahoo")
-        # "yahoo" is open; "running" still builds fine.
-        assert registry.get("running") is running_db
-        with pytest.raises(CircuitOpenError):
-            registry.get("yahoo")
 
 
 class TestIndexPartialResults:

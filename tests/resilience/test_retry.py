@@ -1,19 +1,10 @@
-"""Tests for retry-with-backoff and the circuit breaker."""
+"""Tests for retry-with-backoff."""
 
 import random
 
 import pytest
 
-from repro.exceptions import CircuitOpenError
-from repro.resilience import CircuitBreaker, RetryPolicy, retry_call
-
-
-class FakeClock:
-    def __init__(self, now=0.0):
-        self.now = now
-
-    def __call__(self):
-        return self.now
+from repro.resilience import RetryPolicy, retry_call
 
 
 def flaky(failures, error=RuntimeError("transient")):
@@ -55,6 +46,30 @@ class TestRetryPolicy:
                           policy.base_delay_s * 2 ** attempt)
             assert 0.0 <= delay <= nominal * 1.5
 
+    def test_jitter_spreads_over_half_to_one_and_a_half_of_the_schedule(
+        self,
+    ):
+        policy = RetryPolicy(jitter=0.5)
+        rng = random.Random(7)
+        for attempt in range(12):
+            nominal = min(policy.max_delay_s,
+                          policy.base_delay_s * 2 ** attempt)
+            for _ in range(50):
+                delay = policy.delay_for(attempt, rng)
+                assert 0.5 * nominal <= delay <= 1.5 * nominal
+
+    def test_jittered_delays_are_deterministic_under_a_seed(self):
+        policy = RetryPolicy(jitter=0.5)
+        a = [policy.delay_for(n, random.Random(42)) for n in range(8)]
+        b = [policy.delay_for(n, random.Random(42)) for n in range(8)]
+        assert a == b
+
+    def test_jittered_delays_differ_across_seeds(self):
+        policy = RetryPolicy(jitter=0.5)
+        assert policy.delay_for(3, random.Random(1)) != policy.delay_for(
+            3, random.Random(2)
+        )
+
 
 class TestRetryCall:
     def test_first_try_success_does_not_sleep(self):
@@ -90,107 +105,3 @@ class TestRetryCall:
         with pytest.raises(KeyError):
             retry_call(fail, retry_on=(OSError,), sleep=lambda _s: None)
         assert len(calls) == 1
-
-
-class TestCircuitBreaker:
-    def _breaker(self, clock, threshold=3, reset=10.0):
-        return CircuitBreaker(
-            "test", failure_threshold=threshold,
-            reset_timeout_s=reset, clock=clock,
-        )
-
-    def test_opens_after_consecutive_failures(self):
-        breaker = self._breaker(FakeClock())
-        for _ in range(3):
-            breaker.record_failure()
-        assert breaker.state == CircuitBreaker.OPEN
-        with pytest.raises(CircuitOpenError) as info:
-            breaker.before_call()
-        assert info.value.retry_after_s > 0
-
-    def test_success_resets_the_failure_count(self):
-        breaker = self._breaker(FakeClock())
-        breaker.record_failure()
-        breaker.record_failure()
-        breaker.record_success()
-        breaker.record_failure()
-        assert breaker.state == CircuitBreaker.CLOSED
-
-    def test_half_open_probe_success_closes(self):
-        clock = FakeClock()
-        breaker = self._breaker(clock)
-        for _ in range(3):
-            breaker.record_failure()
-        clock.now = 11.0  # past the cool-down
-        breaker.before_call()  # the probe is admitted
-        breaker.record_success()
-        assert breaker.state == CircuitBreaker.CLOSED
-
-    def test_half_open_probe_failure_reopens(self):
-        clock = FakeClock()
-        breaker = self._breaker(clock)
-        for _ in range(3):
-            breaker.record_failure()
-        clock.now = 11.0
-        breaker.before_call()
-        breaker.record_failure()
-        assert breaker.state == CircuitBreaker.OPEN
-        assert breaker.opened_total == 2
-
-    def test_half_open_admits_exactly_one_probe(self):
-        clock = FakeClock()
-        breaker = self._breaker(clock)
-        for _ in range(3):
-            breaker.record_failure()
-        clock.now = 11.0
-        breaker.before_call()  # first probe in
-        with pytest.raises(CircuitOpenError):
-            breaker.before_call()  # concurrent caller is rejected
-
-    def test_snapshot_is_json_ready(self):
-        breaker = self._breaker(FakeClock())
-        breaker.record_failure()
-        snap = breaker.snapshot()
-        assert snap["name"] == "test"
-        assert snap["state"] == "closed"
-        assert snap["consecutive_failures"] == 1
-        assert snap["failure_threshold"] == 3
-
-    def test_call_wraps_one_invocation(self):
-        breaker = self._breaker(FakeClock(), threshold=1)
-        with pytest.raises(RuntimeError):
-            breaker.call(flaky(1))
-        assert breaker.state == CircuitBreaker.OPEN
-
-
-class TestRetryWithBreaker:
-    def test_open_breaker_short_circuits_retry_call(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(
-            "fastfail", failure_threshold=1,
-            reset_timeout_s=10.0, clock=clock,
-        )
-        breaker.record_failure()
-        calls = []
-        with pytest.raises(CircuitOpenError):
-            retry_call(
-                lambda: calls.append(True),
-                breaker=breaker,
-                sleep=lambda _s: None,
-            )
-        assert calls == []  # fn never ran
-
-    def test_retries_feed_the_breaker(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(
-            "feeding", failure_threshold=3,
-            reset_timeout_s=10.0, clock=clock,
-        )
-        with pytest.raises(RuntimeError):
-            retry_call(
-                flaky(5),
-                policy=RetryPolicy(max_attempts=3, base_delay_s=0.0),
-                breaker=breaker,
-                sleep=lambda _s: None,
-            )
-        assert breaker.state == CircuitBreaker.OPEN

@@ -132,19 +132,6 @@ class TestReadinessProbe:
         assert body["ready_blockers"] == ["draining"]
         assert int(headers["Retry-After"]) >= 1
 
-    def test_not_ready_with_an_open_breaker(self, app, monkeypatch):
-        monkeypatch.setattr(
-            app.registry, "breaker_snapshots",
-            lambda: [{"name": "running", "state": "open"}],
-        )
-        # Liveness stays 200 (degraded), readiness goes 503.
-        status, body, _ = app.handle("GET", "/healthz", {}, None)
-        assert status == 200
-        assert body["status"] == "degraded"
-        status, body, _ = app.handle("GET", "/healthz", {"ready": "1"}, None)
-        assert status == 503
-        assert body["ready_blockers"] == ["breaker:running"]
-
     def test_plain_healthz_does_not_carry_ready(self, app):
         status, body, _ = app.handle("GET", "/healthz", {}, None)
         assert status == 200

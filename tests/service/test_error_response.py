@@ -13,7 +13,6 @@ import pytest
 
 from repro.cluster import ClusterConfig, CoordinatorApp
 from repro.exceptions import (
-    CircuitOpenError,
     DatasetError,
     DeadlineExceeded,
     ServiceOverloadedError,
@@ -36,10 +35,6 @@ CASES = [
         ServiceUnavailableError("draining", retry_after_s=3.0,
                                 reason="drain"),
         503, {"error", "reason", "retry_after_s"}, {"Retry-After": "3"},
-    ),
-    (
-        CircuitOpenError("registry.build:running", retry_after_s=0.2),
-        503, {"error", "retry_after_s"}, {"Retry-After": "1"},
     ),
     (DeadlineExceeded("search", 5.0), 504, {"error"}, {}),
     (SessionError("row 0 is incomplete"), 400, {"error"}, {}),

@@ -76,12 +76,8 @@ class TestPrometheusExposition:
             "repro_admission_ewma_job_s",
             "repro_service_workers_busy",
             "repro_location_cache_hits",
-            "repro_breaker_state",
         ):
             assert name in parsed, name
-        breaker = parsed["repro_breaker_state"][0]
-        assert breaker["labels"]["dataset"] == "running"
-        assert breaker["value"] == 0.0  # closed
 
     def test_slo_gauges_are_scrapable(self, app):
         with obs.scoped():
