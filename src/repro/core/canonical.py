@@ -4,20 +4,95 @@ Weaving can construct the same tuple path along different orders (weave
 ``r3`` then ``r5``, or ``r5`` then ``r3``), and vertex ids are assigned
 arbitrarily, so structural deduplication needs a canonical form that is
 invariant under vertex renaming.  We use the classic AHU-style recursive
-encoding, rooted at every vertex in turn, taking the lexicographic
-minimum.  Paths are tiny (a handful of vertices — target size is ≤ 6
-and PMNJ ≤ 2 in all experiments), so the ``O(n²)`` root loop is
-irrelevant next to the database work around it.
+encoding of a rooted tree — a vertex's label plus the sorted encodings
+of its child subtrees, each tagged with its edge label — and root it at
+the tree's *centre*.
+
+The centre is what remains after peeling all leaves round after round:
+one vertex, or two adjacent ones.  It is defined by the shape alone, so
+every isomorphism maps centres to centres.  Taking the minimum encoding
+over the (at most two) centres therefore gives equal signatures to
+isomorphic trees, and equal signatures spell out a rooted isomorphism,
+so the form is canonical.  The minimum over *every* root gives the same
+equivalence but costs ``n`` encodings per tree, and that cost is not
+small: weave deduplication signs tens of thousands of woven paths in a
+large search, and an all-roots loop there took most of the search time.
+
+The encoder takes plain data — a label per vertex and a neighbor list
+per vertex — so the weave can sign a woven outcome before deciding to
+build its :class:`~repro.relational.query.JoinTree`.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Hashable
+from collections.abc import Callable, Hashable, Mapping, Sequence
 
 from repro.relational.query import JoinTree
 
 #: A canonical signature: nested tuples of hashables.
 Signature = Hashable
+
+#: Neighbor list per vertex: ``(neighbor, fk_name, orientation)``, where
+#: orientation is ``"down"`` when the FK points from the vertex to the
+#: neighbor and ``"up"`` when it points back.
+Adjacency = Mapping[int, Sequence[tuple[int, str, str]]]
+
+
+def tree_adjacency(tree: JoinTree) -> dict[int, list[tuple[int, str, str]]]:
+    """``tree``'s edges as an :data:`Adjacency`."""
+    adjacency: dict[int, list[tuple[int, str, str]]] = {
+        vertex: [] for vertex in tree.vertices
+    }
+    for edge in tree.edges:
+        u_down = "down" if edge.source_vertex == edge.u else "up"
+        v_down = "up" if u_down == "down" else "down"
+        adjacency[edge.u].append((edge.v, edge.fk_name, u_down))
+        adjacency[edge.v].append((edge.u, edge.fk_name, v_down))
+    return adjacency
+
+
+def tree_centres(adjacency: Adjacency) -> list[int]:
+    """The one or two centre vertices, found by peeling leaves."""
+    remaining = len(adjacency)
+    if remaining <= 2:
+        return list(adjacency)
+    degree = {vertex: len(neighbors) for vertex, neighbors in adjacency.items()}
+    leaves = [vertex for vertex, count in degree.items() if count == 1]
+    while remaining > 2:
+        remaining -= len(leaves)
+        next_leaves = []
+        for leaf in leaves:
+            for neighbor, _fk_name, _orientation in adjacency[leaf]:
+                degree[neighbor] -= 1
+                if degree[neighbor] == 1:
+                    next_leaves.append(neighbor)
+        leaves = next_leaves
+    return leaves
+
+
+def encode_tree(
+    labels: Mapping[int, Hashable],
+    adjacency: Adjacency,
+    centres: Sequence[int] | None = None,
+) -> Signature:
+    """Canonical form of the tree given by ``labels`` and ``adjacency``.
+
+    ``centres`` may pass :func:`tree_centres` of ``adjacency`` when the
+    caller already has them.
+    """
+
+    def encode(vertex: int, parent: int | None) -> tuple:
+        children = [
+            (fk_name, orientation, encode(neighbor, vertex))
+            for neighbor, fk_name, orientation in adjacency[vertex]
+            if neighbor != parent
+        ]
+        children.sort()
+        return (labels[vertex], tuple(children))
+
+    if centres is None:
+        centres = tree_centres(adjacency)
+    return min(encode(centre, None) for centre in centres)
 
 
 def canonical_signature(
@@ -34,20 +109,5 @@ def canonical_signature(
     Two trees have equal signatures iff there is a label- and
     edge-preserving isomorphism between them.
     """
-
-    def encode(vertex: int, parent: int | None) -> tuple:
-        children = []
-        for edge in tree.neighbors(vertex):
-            neighbor = edge.other(vertex)
-            if neighbor == parent:
-                continue
-            # Orientation: does the edge's FK point from this vertex
-            # down to the child, or up from the child to this vertex?
-            orientation = "down" if edge.source_vertex == vertex else "up"
-            children.append((edge.fk_name, orientation, encode(neighbor, vertex)))
-        children.sort()
-        return (vertex_label(vertex), tuple(children))
-
-    # There may be repeated subtrees under different roots; taking the
-    # minimum over all roots makes the encoding root-independent.
-    return min(encode(root, None) for root in tree.vertices)
+    labels = {vertex: vertex_label(vertex) for vertex in tree.vertices}
+    return encode_tree(labels, tree_adjacency(tree))

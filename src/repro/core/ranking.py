@@ -10,7 +10,7 @@ first with a deterministic tie-break.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 
 from repro.config import RankingWeights
@@ -50,12 +50,33 @@ def matching_score(
     model: ErrorModel,
 ) -> float:
     """Mean similarity between the samples and the projected values."""
-    values = tuple_path.projection_values(db)
-    similarities = [
-        model.similarity(values[key], samples[key])
-        for key in tuple_path.keys
-        if key in samples
-    ]
+
+    def similarity(relation: str, row: int, attribute: str, key: int) -> float:
+        value = db.table(relation).value(row, attribute)
+        return model.similarity(value, samples[key])
+
+    return _mean_similarity(tuple_path, samples, similarity)
+
+
+def _mean_similarity(
+    tuple_path: TuplePath,
+    samples: Mapping[int, str],
+    similarity: Callable[[str, int, str, int], float],
+) -> float:
+    """Mean of ``similarity(relation, row, attribute, key)`` over the
+    projected columns that have a sample."""
+    similarities = []
+    for key in tuple_path.keys:
+        if key in samples:
+            vertex, attribute = tuple_path.projections[key]
+            similarities.append(
+                similarity(
+                    tuple_path.tree.relation_of(vertex),
+                    tuple_path.rows[vertex],
+                    attribute,
+                    key,
+                )
+            )
     if not similarities:
         return 0.0
     return sum(similarities) / len(similarities)
@@ -108,6 +129,18 @@ def rank_mappings(
         else:
             groups[signature] = (mapping, [tuple_path])
 
+    # Candidates share source values, so score each (relation, row,
+    # attribute, sample column) once per call.
+    memo: dict[tuple[str, int, str, int], float] = {}
+
+    def similarity(relation: str, row: int, attribute: str, key: int) -> float:
+        memo_key = (relation, row, attribute, key)
+        score = memo.get(memo_key)
+        if score is None:
+            value = db.table(relation).value(row, attribute)
+            score = memo[memo_key] = model.similarity(value, sample_map[key])
+        return score
+
     ranked = []
     match_means: dict[int, float] = {}
     scored = 0
@@ -122,7 +155,7 @@ def rank_mappings(
         scored += 1
         budget.charge()
         matches = [
-            matching_score(db, tuple_path, sample_map, model)
+            _mean_similarity(tuple_path, sample_map, similarity)
             for tuple_path in tuple_paths
         ]
         scores = [

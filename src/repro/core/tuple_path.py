@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 
-from repro.core.canonical import Signature, canonical_signature
+from repro.core.canonical import Signature, encode_tree, tree_adjacency
 from repro.core.mapping_path import MappingPath
 from repro.exceptions import QueryError
 from repro.relational.database import Database
@@ -83,21 +83,26 @@ class TuplePath:
     # Identity
     # ------------------------------------------------------------------
 
+    def vertex_labels(self) -> dict[int, tuple]:
+        """Vertex → ``(relation, row id, ((key, attribute), ...))``.
+
+        The labels the signature encodes; projections are listed in key
+        order.
+        """
+        by_vertex: dict[int, list[tuple[int, str]]] = {}
+        for key, (vertex, attribute) in self.projections.items():
+            by_vertex.setdefault(vertex, []).append((key, attribute))
+        return {
+            vertex: (relation, self.rows[vertex], tuple(by_vertex.get(vertex, ())))
+            for vertex, relation in self.tree.vertices.items()
+        }
+
     def signature(self) -> Signature:
         """Canonical form, invariant under vertex renaming (cached)."""
         if self._signature is None:
-            by_vertex: dict[int, list[tuple[int, str]]] = {}
-            for key, (vertex, attribute) in self.projections.items():
-                by_vertex.setdefault(vertex, []).append((key, attribute))
-
-            def label(vertex: int) -> tuple:
-                return (
-                    self.tree.relation_of(vertex),
-                    self.rows[vertex],
-                    tuple(sorted(by_vertex.get(vertex, ()))),
-                )
-
-            self._signature = canonical_signature(self.tree, label)
+            self._signature = encode_tree(
+                self.vertex_labels(), tree_adjacency(self.tree)
+            )
         return self._signature
 
     def __eq__(self, other: object) -> bool:
