@@ -4,7 +4,7 @@ The ``⊑`` operator is pluggable; this sweep quantifies how the model
 choice changes location-map fan-out (how many attributes each sample
 hits) and end-to-end search time on the user-study task:
 
-* ``exact``  — strictest: smallest fan-out, fastest, but brittle;
+* ``exact``  — strictest: smallest fan-out, but brittle;
 * ``token``  — the paper's semantics (MySQL boolean full-text);
 * ``substring`` — looser than token on partial words;
 * ``edit``   — typo-tolerant: largest fan-out, no index prefilter for

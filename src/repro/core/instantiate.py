@@ -5,6 +5,10 @@ query — its join tree plus a containment predicate at each projected
 end — and executed.  Every satisfying assignment becomes a pairwise
 tuple path; mapping paths with no support are pruned here, which is the
 early pruning that gives TPW its edge over the naive baseline.
+
+Many mapping paths share an endpoint (relation, attribute) for the same
+sample, so one call resolves each such text probe once and lets every
+later query reuse its row set.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from repro.core.tuple_path import TuplePath
 from repro.obs import get_metrics, get_tracer
 from repro.obs.explain import NULL_EXPLAIN
 from repro.relational.database import Database
-from repro.relational.executor import evaluate_tree
+from repro.relational.executor import ProbeMemo, evaluate_tree
 from repro.resilience.budget import NULL_BUDGET
 from repro.text.errors import ErrorModel
 
@@ -29,17 +33,22 @@ def instantiate_mapping_path(
     model: ErrorModel,
     *,
     limit: int = 0,
+    probes: ProbeMemo | None = None,
 ) -> list[TuplePath]:
     """All tuple paths instantiating ``mapping_path`` for ``samples``.
 
     ``samples`` is the full sample tuple; only the columns the mapping
     path projects constrain the query.  ``limit=0`` means unbounded.
+    ``probes`` is a caller's memo of resolved text probes (see
+    :mod:`repro.relational.executor`).
     """
     bound = {
         key: samples[key] for key in mapping_path.projections if key < len(samples)
     }
     predicates = mapping_path.predicates_for(bound, model)
-    assignments = evaluate_tree(db, mapping_path.tree, predicates, limit=limit)
+    assignments = evaluate_tree(
+        db, mapping_path.tree, predicates, limit=limit, probes=probes
+    )
     return [
         TuplePath(mapping_path.tree, assignment, mapping_path.projections)
         for assignment in assignments
@@ -69,6 +78,9 @@ def create_pairwise_tuple_paths(
     ``budget`` is checked before each instantiation query (the phase's
     expensive unit); on exhaustion the partial map is returned and an
     ``instantiate`` degradation records the mapping paths left unqueried.
+
+    Each distinct (relation, attribute, sample) text probe is searched
+    once per call; the memo holding its rows is dropped on return.
     """
     tracer = tracer or get_tracer()
     metrics = get_metrics()
@@ -78,6 +90,7 @@ def create_pairwise_tuple_paths(
     valid_mapping_paths = 0
     total_paths = sum(len(paths) for paths in pmpm.values())
     queried = 0
+    probes: ProbeMemo = {}
     for key_pair, mapping_paths in pmpm.items():
         with tracer.span(
             "tpw.instantiate.pair",
@@ -108,6 +121,7 @@ def create_pairwise_tuple_paths(
                     samples,
                     model,
                     limit=config.max_tuple_paths_per_mapping,
+                    probes=probes,
                 )
                 if tuple_paths:
                     valid_here += 1

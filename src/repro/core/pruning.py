@@ -21,7 +21,7 @@ from repro.core.mapping_path import MappingPath
 from repro.obs import get_metrics, get_tracer
 from repro.obs.explain import MAX_RECORDS
 from repro.relational.database import Database
-from repro.relational.executor import tree_exists
+from repro.relational.executor import ProbeMemo, tree_exists
 from repro.text.errors import ErrorModel, default_error_model
 
 
@@ -106,15 +106,18 @@ def prune_by_structure(
     spreadsheet row; each candidate is kept iff a single source tuple
     assignment satisfies every one of them simultaneously (an existence
     query with early exit — this is why pruning is an order of
-    magnitude cheaper than searching in Table 2).
+    magnitude cheaper than searching in Table 2).  Candidates share
+    most of their (relation, attribute, sample) text probes, so each is
+    searched once per call.
     """
     model = model or default_error_model()
     if not row_samples:
         return list(candidates)
     kept = []
+    probes: ProbeMemo = {}
     for mapping in candidates:
         predicates = mapping.predicates_for(row_samples, model)
-        if tree_exists(db, mapping.tree, predicates):
+        if tree_exists(db, mapping.tree, predicates, probes=probes):
             kept.append(mapping)
     _record_decisions("structure", candidates, kept)
     return kept

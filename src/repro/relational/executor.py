@@ -7,6 +7,12 @@ the tree using foreign-key adjacency, backtracking on dead ends.  Tree
 shape means no cross products ever form, and ``tree_exists`` gets an
 early exit for the pruning path (Section 5, "pruning by mapping
 structure").
+
+A caller that runs many queries over the same samples may pass a
+``probes`` dict: each (relation, attribute, sample, model) text probe is
+then resolved once and its row set reused by later queries.  The dict
+belongs to the caller and lives no longer than its call, so the shared
+:class:`~repro.relational.database.Database` stays read-only.
 """
 
 from __future__ import annotations
@@ -16,26 +22,39 @@ from dataclasses import dataclass
 
 from repro.relational.database import Database
 from repro.relational.query import ContainsPredicate, JoinTree
+from repro.text.errors import ErrorModel
+
+#: Resolved text probes: (relation, attribute, sample, model) → row ids.
+ProbeMemo = dict[tuple[str, str, str, ErrorModel], frozenset[int]]
 
 
 def _vertex_candidates(
     db: Database,
     tree: JoinTree,
     predicates: Sequence[ContainsPredicate],
-) -> dict[int, set[int] | None]:
+    probes: ProbeMemo | None = None,
+) -> dict[int, frozenset[int] | None]:
     """Per-vertex candidate row sets from the text indexes.
 
     ``None`` means unconstrained (any row of the vertex's relation).
-    A vertex with several predicates gets the intersection.
+    A vertex with several predicates gets the intersection.  A probe
+    already in ``probes`` is not searched again; a new one is added.
     """
-    candidates: dict[int, set[int] | None] = {vid: None for vid in tree.vertices}
+    candidates: dict[int, frozenset[int] | None] = {
+        vid: None for vid in tree.vertices
+    }
     for predicate in predicates:
         relation = tree.relation_of(predicate.vertex)
-        rows = set(
-            db.search_attribute(
-                relation, predicate.attribute, predicate.sample, predicate.model
+        key = (relation, predicate.attribute, predicate.sample, predicate.model)
+        rows = None if probes is None else probes.get(key)
+        if rows is None:
+            rows = frozenset(
+                db.search_attribute(
+                    relation, predicate.attribute, predicate.sample, predicate.model
+                )
             )
-        )
+            if probes is not None:
+                probes[key] = rows
         existing = candidates[predicate.vertex]
         candidates[predicate.vertex] = rows if existing is None else existing & rows
     return candidates
@@ -44,7 +63,7 @@ def _vertex_candidates(
 def _pick_root(
     db: Database,
     tree: JoinTree,
-    candidates: dict[int, set[int] | None],
+    candidates: dict[int, frozenset[int] | None],
 ) -> int:
     """Root the evaluation at the most selective vertex."""
     best_vertex = None
@@ -62,14 +81,17 @@ def iterate_assignments(
     db: Database,
     tree: JoinTree,
     predicates: Sequence[ContainsPredicate] = (),
+    *,
+    probes: ProbeMemo | None = None,
 ) -> Iterator[dict[int, int]]:
     """Yield every assignment ``vertex id → row id`` satisfying the query.
 
     An assignment binds each tree vertex to a row of its relation such
     that every edge joins its two rows via its foreign key and every
     predicate holds.  Assignments are yielded in a deterministic order.
+    ``probes`` is the caller's probe memo (see the module docstring).
     """
-    candidates = _vertex_candidates(db, tree, predicates)
+    candidates = _vertex_candidates(db, tree, predicates, probes)
     if any(rows is not None and not rows for rows in candidates.values()):
         return
     root = _pick_root(db, tree, candidates)
@@ -114,10 +136,11 @@ def evaluate_tree(
     predicates: Sequence[ContainsPredicate] = (),
     *,
     limit: int = 0,
+    probes: ProbeMemo | None = None,
 ) -> list[dict[int, int]]:
     """Materialise assignments; ``limit=0`` means all of them."""
     results: list[dict[int, int]] = []
-    for assignment in iterate_assignments(db, tree, predicates):
+    for assignment in iterate_assignments(db, tree, predicates, probes=probes):
         results.append(assignment)
         if limit and len(results) >= limit:
             break
@@ -128,9 +151,11 @@ def tree_exists(
     db: Database,
     tree: JoinTree,
     predicates: Sequence[ContainsPredicate] = (),
+    *,
+    probes: ProbeMemo | None = None,
 ) -> bool:
     """Whether at least one satisfying assignment exists (early exit)."""
-    for _ in iterate_assignments(db, tree, predicates):
+    for _ in iterate_assignments(db, tree, predicates, probes=probes):
         return True
     return False
 

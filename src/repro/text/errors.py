@@ -46,6 +46,14 @@ class ErrorModel(ABC):
     #: Short identifier used in configuration and experiment reports.
     name: str = "abstract"
 
+    #: Whether a row's cell holds every token of ``index_tokens(sample)``
+    #: exactly when ``contains(cell, sample)`` holds, and an empty token
+    #: list means no cell contains the sample.  An index may then answer
+    #: from the postings intersection alone and skip ``contains``.  A
+    #: subclass that overrides ``contains`` or ``index_tokens`` must
+    #: restate it.
+    postings_exact: bool = False
+
     @abstractmethod
     def contains(self, cell: object, sample: str) -> bool:
         """Return ``True`` iff ``cell ⊑ sample`` under this model."""
@@ -74,14 +82,19 @@ class ErrorModel(ABC):
 
 
 class ExactModel(ErrorModel):
-    """Equality after text normalization."""
+    """Equality after text normalization.
+
+    The cell is rendered as the index tokenizes it
+    (:func:`~repro.text.tokenize.tokenize_value`), so a float cell
+    storing ``1999.0`` equals the sample ``1999``, not ``1999.0``.
+    """
 
     name = "exact"
 
     def contains(self, cell: object, sample: str) -> bool:
         if cell is None:
             return False
-        return normalize_text(str(cell)) == normalize_text(sample)
+        return " ".join(tokenize_value(cell)) == normalize_text(sample)
 
     def similarity(self, cell: object, sample: str) -> float:
         return 1.0 if self.contains(cell, sample) else 0.0
@@ -91,10 +104,13 @@ class CaseTokenModel(ErrorModel):
     """All sample tokens must appear among the cell's tokens.
 
     This is the library default and mirrors the boolean-mode full-text
-    search the paper's prototype ran against MySQL.
+    search the paper's prototype ran against MySQL.  Its postings are
+    exact: the index and ``contains`` tokenize cells and samples alike,
+    so the postings intersection of the sample's tokens is the answer.
     """
 
     name = "token"
+    postings_exact = True
 
     def contains(self, cell: object, sample: str) -> bool:
         sample_tokens = tokenize(sample)
@@ -217,7 +233,10 @@ class NumericToleranceModel(ErrorModel):
         return max(0.0, 1.0 - abs(cell_number - sample_number) / denominator)
 
     def index_tokens(self, sample: str) -> tuple[str, ...]:
-        if self._parse(sample) is not None and self.relative_tolerance > 0:
+        # A numeric sample matches by value, and equal values can share
+        # no token ("1999.0" vs 1999, "1.9995e3" vs 1999.5), so it scans
+        # at any tolerance.
+        if self._parse(sample) is not None:
             return ()
         return tokenize(sample)
 

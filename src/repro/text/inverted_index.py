@@ -6,6 +6,15 @@ inverted index".  :class:`ColumnIndex` is that index: token → sorted
 row-id postings, plus a verification pass through the active
 :class:`~repro.text.errors.ErrorModel`.  :class:`LinearScanIndex` is the
 no-index baseline used by the index ablation benchmark.
+
+The verification pass runs only where the postings can over-approximate.
+A model whose ``postings_exact`` is set (the default
+:class:`~repro.text.errors.CaseTokenModel`) tokenizes samples exactly as
+the index tokenizes cells, so the postings intersection of the sample's
+tokens *is* the answer, as in the MySQL boolean-mode full-text search the
+paper's prototype used: no cell is re-read.  Every other model
+(exact, substring, edit distance, numeric) re-checks each candidate with
+``contains``.
 """
 
 from __future__ import annotations
@@ -56,6 +65,26 @@ class ColumnIndex:
         """Row ids whose cell contains ``token`` (ascending order)."""
         return self._postings.get(token, ())
 
+    def _intersect(self, tokens: Iterable[str]) -> list[int]:
+        """Ascending row ids whose cell holds every one of ``tokens``."""
+        lists = []
+        for token in set(tokens):
+            posting = self._postings.get(token)
+            if posting is None:
+                return []
+            lists.append(posting)
+        if not lists:
+            return []
+        if len(lists) == 1:
+            return list(lists[0])
+        lists.sort(key=len)
+        result = set(lists[0])
+        for posting in lists[1:]:
+            result.intersection_update(posting)
+            if not result:
+                return []
+        return sorted(result)
+
     def candidate_rows(self, model: ErrorModel, sample: str) -> Iterable[int]:
         """Rows that *may* contain ``sample`` under ``model``.
 
@@ -66,21 +95,11 @@ class ColumnIndex:
         tokens = model.index_tokens(sample)
         if not tokens:
             return range(len(self._values))
-        lists = []
-        for token in set(tokens):
-            posting = self._postings.get(token)
-            if posting is None:
-                return ()
-            lists.append(posting)
-        lists.sort(key=len)
-        result = set(lists[0])
-        for posting in lists[1:]:
-            result.intersection_update(posting)
-            if not result:
-                return ()
-        return sorted(result)
+        return self._intersect(tokens)
 
     def _search(self, model: ErrorModel, sample: str) -> list[int]:
+        if model.postings_exact:
+            return self._intersect(model.index_tokens(sample))
         return [
             row_id
             for row_id in self.candidate_rows(model, sample)
@@ -90,8 +109,10 @@ class ColumnIndex:
     def search(self, model: ErrorModel, sample: str) -> list[int]:
         """All row ids whose cell contains ``sample`` under ``model``.
 
-        Candidates from the postings intersection are verified with
-        ``model.contains`` so the result is exact for any model.
+        For a model with ``postings_exact`` the postings intersection is
+        the answer and no cell is re-read; for every other model the
+        candidates it yields are verified with ``model.contains``.  The
+        result is exact for any model.
 
         Carries the ``index.search`` fault point: chaos tests can make
         the probe raise, stall, or drop rows (``partial`` mode — a
@@ -107,6 +128,8 @@ class ColumnIndex:
 
     def contains_any(self, model: ErrorModel, sample: str) -> bool:
         """Whether at least one row contains ``sample`` (early exit)."""
+        if model.postings_exact:
+            return bool(self._intersect(model.index_tokens(sample)))
         for row_id in self.candidate_rows(model, sample):
             if model.contains(self._values[row_id], sample):
                 return True

@@ -4,6 +4,10 @@ All containment checks in the library compare *normalized* text: Unicode
 NFKD with combining marks stripped, case-folded, with punctuation mapped
 to spaces and runs of whitespace collapsed.  Normalizing once at the
 boundary keeps every later comparison a plain string operation.
+
+ASCII text takes a fast path: NFKD and the combining-mark strip leave
+it unchanged and ``casefold`` equals ``lower`` on it, so only the
+punctuation mapping, lowercasing and whitespace collapse run.
 """
 
 from __future__ import annotations
@@ -14,6 +18,11 @@ _PUNCT_TRANSLATION = {
     ord(ch): " "
     for ch in "!\"#$%&'()*+,-./:;<=>?@[\\]^_`{|}~"
 }
+
+
+def _strip_marks(text: str) -> str:
+    decomposed = unicodedata.normalize("NFKD", text)
+    return "".join(ch for ch in decomposed if not unicodedata.combining(ch))
 
 
 def normalize_text(text: str) -> str:
@@ -27,9 +36,9 @@ def normalize_text(text: str) -> str:
     >>> normalize_text("Amélie")
     'amelie'
     """
-    decomposed = unicodedata.normalize("NFKD", text)
-    stripped = "".join(ch for ch in decomposed if not unicodedata.combining(ch))
-    spaced = stripped.translate(_PUNCT_TRANSLATION)
+    if text.isascii():
+        return " ".join(text.translate(_PUNCT_TRANSLATION).lower().split())
+    spaced = _strip_marks(text).translate(_PUNCT_TRANSLATION)
     return " ".join(spaced.casefold().split())
 
 
@@ -39,6 +48,6 @@ def normalize_token(token: str) -> str:
     >>> normalize_token("Cafés")
     'cafes'
     """
-    decomposed = unicodedata.normalize("NFKD", token)
-    stripped = "".join(ch for ch in decomposed if not unicodedata.combining(ch))
-    return stripped.casefold().strip()
+    if token.isascii():
+        return token.lower().strip()
+    return _strip_marks(token).casefold().strip()

@@ -11,6 +11,7 @@ from repro.core.location import build_location_map
 from repro.core.mapping_path import MappingPath
 from repro.core.pairwise import generate_pairwise_mapping_paths
 from repro.graphs.schema_graph import SchemaGraph
+from repro.relational.database import Database
 from repro.relational.query import JoinTree, JoinTreeEdge
 from repro.text.errors import CaseTokenModel
 
@@ -98,6 +99,19 @@ class TestInstantiateMappingPath:
             assert path.is_valid_for(running_db, dict(enumerate(samples)), MODEL)
 
 
+def count_probes(monkeypatch) -> list[tuple[str, str, str]]:
+    """Record every (relation, attribute, sample) text-index search."""
+    probes: list[tuple[str, str, str]] = []
+    search = Database.search_attribute
+
+    def counting(db, relation, attribute, sample, model=None):
+        probes.append((relation, attribute, sample))
+        return search(db, relation, attribute, sample, model)
+
+    monkeypatch.setattr(Database, "search_attribute", counting)
+    return probes
+
+
 class TestCreatePairwiseTuplePaths:
     @pytest.fixture()
     def pmpm(self, running_db):
@@ -132,3 +146,16 @@ class TestCreatePairwiseTuplePaths:
         )
         assert valid == 0
         assert ptpm == {}
+
+    def test_each_probe_searched_once_per_call(self, running_db, pmpm,
+                                               monkeypatch):
+        probes = count_probes(monkeypatch)
+        samples = ("Harry Potter", "David Yates")
+        create_pairwise_tuple_paths(running_db, pmpm, samples, MODEL, TPWConfig())
+        first_call = list(probes)
+        # direct and write share both endpoint probes
+        assert first_call and len(first_call) == len(set(first_call))
+        assert len(first_call) < 2 * sum(len(paths) for paths in pmpm.values())
+        # the memo does not outlive the call
+        create_pairwise_tuple_paths(running_db, pmpm, samples, MODEL, TPWConfig())
+        assert probes == first_call * 2

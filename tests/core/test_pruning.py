@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.pruning import prune_by_attribute, prune_by_structure
 from repro.core.tpw import TPWEngine
+from tests.core.test_instantiate import count_probes
 
 
 @pytest.fixture()
@@ -73,6 +74,17 @@ class TestPruneByStructure:
         # containment along the mapping; candidates survive
         kept = prune_by_structure(running_db, avatar_candidates, {0: "Avatar"})
         assert len(kept) == 2
+
+    def test_each_probe_searched_once_per_call(self, running_db,
+                                               avatar_candidates, monkeypatch):
+        probes = count_probes(monkeypatch)
+        row = {0: "Big Fish", 1: "Tim Burton"}
+        prune_by_structure(running_db, avatar_candidates, row)
+        assert sorted(probes) == [
+            ("movie", "title", "Big Fish"), ("person", "name", "Tim Burton"),
+        ]
+        prune_by_structure(running_db, avatar_candidates, row)
+        assert len(probes) == 4
 
     def test_impossible_combination_empties(self, running_db, avatar_candidates):
         kept = prune_by_structure(

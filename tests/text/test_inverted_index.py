@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.text.errors import CaseTokenModel, EditDistanceModel, ExactModel
+from repro.text.errors import (
+    CaseTokenModel,
+    EditDistanceModel,
+    ExactModel,
+    NumericToleranceModel,
+)
 from repro.text.inverted_index import (
     ColumnIndex,
     LinearScanIndex,
@@ -78,6 +83,34 @@ class TestColumnIndex:
     def test_candidate_rows_empty_token_set_means_all(self, index):
         model = EditDistanceModel(max_distance=1)
         assert list(index.candidate_rows(model, "Avatar")) == list(range(len(VALUES)))
+
+    def test_token_model_answers_from_postings(self, index, monkeypatch):
+        model = CaseTokenModel()
+
+        def reread(cell, sample):
+            raise AssertionError("postings are exact; no cell is re-read")
+
+        monkeypatch.setattr(model, "contains", reread)
+        assert index.search(model, "Big Fish") == [1, 6]
+        assert index.contains_any(model, "harry")
+
+    def test_token_model_empty_sample_matches_nothing(self, index):
+        assert index.search(CaseTokenModel(), "...") == []
+        assert not index.contains_any(CaseTokenModel(), "")
+
+    @pytest.mark.parametrize(
+        ("sample", "expected"),
+        [("1999.0", [0]), ("01999", [0]), ("1.9995e3", [3]), ("2000", [1])],
+    )
+    def test_numeric_samples_match_by_value(self, sample, expected):
+        """Regression: at tolerance 0 a numeric sample's text tokens used
+        to prefilter the postings, dropping cells equal by value."""
+        values = [1999, 2000.0, "x", 1999.5]
+        model = NumericToleranceModel(relative_tolerance=0.0)
+        scan = LinearScanIndex(values)
+        assert scan.search(model, sample) == expected
+        assert ColumnIndex(values).search(model, sample) == expected
+        assert ColumnIndex(values).contains_any(model, sample)
 
     def test_duplicate_tokens_in_cell_indexed_once(self):
         index = ColumnIndex(["big big big"])

@@ -1,11 +1,13 @@
 """Property-based tests (hypothesis) for the text substrate."""
 
+import unicodedata
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.text.errors import CaseTokenModel, EditDistanceModel, ExactModel
 from repro.text.inverted_index import ColumnIndex, LinearScanIndex
-from repro.text.normalize import normalize_text
+from repro.text.normalize import normalize_text, normalize_token
 from repro.text.similarity import levenshtein_distance, token_set_similarity
 from repro.text.tokenize import tokenize
 
@@ -16,6 +18,35 @@ text = st.text(
 words = st.lists(
     st.text(alphabet="abcdefgh", min_size=1, max_size=6), min_size=1, max_size=6
 ).map(" ".join)
+
+
+ascii_text = st.text(alphabet=st.characters(max_codepoint=127), max_size=40)
+_PUNCT = {ord(ch): " " for ch in "!\"#$%&'()*+,-./:;<=>?@[\\]^_`{|}~"}
+
+
+def _unicode_normalize_text(text):
+    """The general NFKD / combining-mark / casefold path."""
+    decomposed = unicodedata.normalize("NFKD", text)
+    stripped = "".join(ch for ch in decomposed if not unicodedata.combining(ch))
+    return " ".join(stripped.translate(_PUNCT).casefold().split())
+
+
+def _unicode_normalize_token(token):
+    decomposed = unicodedata.normalize("NFKD", token)
+    stripped = "".join(ch for ch in decomposed if not unicodedata.combining(ch))
+    return stripped.casefold().strip()
+
+
+class TestAsciiFastPath:
+    """On ASCII input the fast path equals the general Unicode path."""
+
+    @given(ascii_text)
+    def test_normalize_text(self, value):
+        assert normalize_text(value) == _unicode_normalize_text(value)
+
+    @given(ascii_text)
+    def test_normalize_token(self, value):
+        assert normalize_token(value) == _unicode_normalize_token(value)
 
 
 class TestNormalizeProperties:
