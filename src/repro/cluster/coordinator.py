@@ -69,7 +69,7 @@ from repro.service.frontend import FrontEnd
 from repro.service.validation import (
     BadRequest,
     Response,
-    as_int,
+    cell_input,
     column_names,
     require,
     served_dataset,
@@ -513,22 +513,7 @@ class CoordinatorApp(FrontEnd):
     ) -> Response:
         """``POST /sessions/{id}/cells`` — proxy one input, journal it."""
         session = self._session(session_id)
-        row = as_int(require(body, "row"), "row")
-        value = str(require(body, "value"))
-        assert body is not None
-        column = body.get("column")
-        column_name = body.get("column_name")
-        if column is None and column_name is None:
-            raise BadRequest("provide either column or column_name")
-        if column is not None:
-            col_index = as_int(column, "column")
-        else:
-            try:
-                col_index = session.columns.index(str(column_name))
-            except ValueError:
-                raise BadRequest(
-                    f"unknown column {column_name!r}"
-                ) from None
+        row, col_index, value = cell_input(body, session.columns)
         with session.lock:
             reply = self._call_session(
                 session, "POST", f"/sessions/{session_id}/cells",

@@ -26,8 +26,8 @@ def session_to_dict(session: MappingSession) -> dict:
     """The session's durable state as a JSON-ready dictionary."""
     sheet = session.spreadsheet
     cells = []
-    for row in range(sheet.n_rows):
-        for column, content in sheet.row_samples(row).items():
+    for row, samples in sheet.occupied_rows():
+        for column, content in samples.items():
             cells.append({"row": row, "column": column, "content": content})
     return {
         "version": _FORMAT_VERSION,

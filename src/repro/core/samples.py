@@ -38,13 +38,6 @@ class Spreadsheet:
         """Target schema size ``m``."""
         return len(self.columns)
 
-    @property
-    def n_rows(self) -> int:
-        """Number of rows with at least one non-empty cell."""
-        if not self._cells:
-            return 0
-        return max(row for row, _column in self._cells) + 1
-
     def column_index(self, name: str) -> int:
         """Index of column ``name``."""
         try:
@@ -90,6 +83,17 @@ class Spreadsheet:
             if cell_row == row
         }
 
+    def occupied_rows(self) -> list[tuple[int, dict[int, str]]]:
+        """Rows that hold a sample, ascending, as ``(row, row_samples)``.
+
+        One pass over the cells: the cost follows the number of samples,
+        not the largest row index, which a client may set to anything.
+        """
+        rows: dict[int, dict[int, str]] = {}
+        for (row, column), content in sorted(self._cells.items()):
+            rows.setdefault(row, {})[column] = content
+        return list(rows.items())
+
     def first_row_complete(self) -> bool:
         """Whether every cell of row 0 is populated."""
         return all((0, column) in self._cells for column in range(self.n_columns))
@@ -113,10 +117,9 @@ class Spreadsheet:
         return len(self._cells)
 
     def describe(self) -> str:
-        """Plain-text rendering of the grid."""
+        """The header, then one tab-separated line per row with a sample."""
         lines = ["\t".join(self.columns)]
-        for row in range(self.n_rows):
-            samples = self.row_samples(row)
+        for _row, samples in self.occupied_rows():
             lines.append(
                 "\t".join(
                     samples.get(column, "") for column in range(self.n_columns)

@@ -397,8 +397,9 @@ class MappingSession:
         with get_tracer().span("session.replay") as span:
             self._candidates = list(self.search_result.candidates)
             mappings = self.candidate_mappings
-            for row in range(1, self.spreadsheet.n_rows):
-                row_samples = self.spreadsheet.row_samples(row)
+            for row, row_samples in self.spreadsheet.occupied_rows():
+                if row == 0:
+                    continue
                 for column, sample in row_samples.items():
                     mappings = prune_by_attribute(
                         self.db, mappings, column, sample, self.engine.model

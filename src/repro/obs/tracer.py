@@ -43,7 +43,6 @@ Span naming convention (see ``docs/observability.md``):
 ``session.search``        first-row search inside a mapping session
 ``session.prune``         one incremental pruning interaction
 ``session.replay``        full pruning replay after an edit/undo/restore
-``kwsearch.search``       one keyword-search query
 ``service.request``       one HTTP request to the mapping service; attrs
                           ``method``, ``route``, ``status``
 ========================  =====================================================

@@ -86,6 +86,7 @@ from repro.service.validation import (
     BadRequest,
     Response,
     as_int,
+    cell_input,
     column_names,
     require,
     served_dataset,
@@ -397,15 +398,9 @@ class ServiceApp(FrontEnd):
         blowing the request deadline.
         """
         managed = self.sessions.get(session_id)
-        row = as_int(require(body, "row"), "row")
-        value = str(require(body, "value"))
-        assert body is not None
-        column_name = body.get("column_name")
-        column = body.get("column")
-        if column is None and column_name is None:
-            raise BadRequest("provide either column or column_name")
-        if column is not None:
-            column = as_int(column, "column")
+        row, col_index, value = cell_input(
+            body, managed.session.spreadsheet.columns
+        )
         deadline_s = self.config.effective_search_deadline_s
         self.admission.check(
             self.pool.qsize(), self.config.request_timeout_s
@@ -415,14 +410,7 @@ class ServiceApp(FrontEnd):
             budget = Budget(deadline_s=deadline_s) if deadline_s else NULL_BUDGET
             with managed.lock:
                 session = managed.session
-                if column is not None:
-                    col_index = column
-                    session.input(row, col_index, value, budget=budget)
-                else:
-                    col_index = session.spreadsheet.column_index(
-                        str(column_name)
-                    )
-                    session.input(row, col_index, value, budget=budget)
+                session.input(row, col_index, value, budget=budget)
                 # ``applied``: did the cell survive the session's
                 # irrelevance policy?  Journaled (only-what-was-kept —
                 # an input reverted by on_irrelevant="ignore" must not

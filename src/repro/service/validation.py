@@ -38,11 +38,38 @@ def require(body: dict[str, Any] | None, key: str) -> Any:
 
 
 def as_int(value: Any, name: str) -> int:
-    """``int(value)``, or :class:`BadRequest` naming the field."""
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise BadRequest(f"{name} must be an integer") from None
+    """``int(value)``, or :class:`BadRequest` naming the field; a JSON
+    ``true``/``false`` is refused, not read as 1/0."""
+    if not isinstance(value, bool):
+        try:
+            return int(value)
+        except (TypeError, ValueError):
+            pass
+    raise BadRequest(f"{name} must be an integer")
+
+
+def cell_input(
+    body: dict[str, Any] | None, columns: Sequence[str]
+) -> tuple[int, int, str]:
+    """``(row, column, value)`` of a ``POST /sessions/{id}/cells`` body.
+
+    A ``column_name`` is looked up in ``columns`` when ``column`` is
+    absent.  ``value`` must be a string or a number: the ``str()`` of
+    ``null``, a boolean, a list or an object would become a sample.
+    """
+    row = as_int(require(body, "row"), "row")
+    value = require(body, "value")
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise BadRequest("value must be a string or a number")
+    column = body.get("column")
+    if column is not None:
+        return row, as_int(column, "column"), str(value)
+    if body.get("column_name") is None:
+        raise BadRequest("provide either column or column_name")
+    name = str(body["column_name"])
+    if name not in columns:
+        raise BadRequest(f"unknown column {name!r}")
+    return row, columns.index(name), str(value)
 
 
 def served_dataset(dataset: str, datasets: Sequence[str]) -> str:

@@ -71,11 +71,13 @@ class TestRows:
         sheet = Spreadsheet(["A"])
         assert sheet.row_samples(5) == {}
 
-    def test_n_rows(self):
-        sheet = Spreadsheet(["A"])
-        assert sheet.n_rows == 0
+    def test_occupied_rows(self):
+        sheet = Spreadsheet(["A", "B"])
+        assert sheet.occupied_rows() == []
+        sheet.set_cell(3, 1, "y")
         sheet.set_cell(3, 0, "x")
-        assert sheet.n_rows == 4
+        sheet.set_cell(0, 1, "z")
+        assert sheet.occupied_rows() == [(0, {1: "z"}), (3, {0: "x", 1: "y"})]
 
     def test_first_row_complete(self):
         sheet = Spreadsheet(["A", "B"])

@@ -1,7 +1,10 @@
 """Tests for the interactive mapping session (Section 3)."""
 
+import threading
+
 import pytest
 
+from repro.core.persistence import session_to_dict
 from repro.core.session import MappingSession, SessionStatus
 from repro.exceptions import SessionError
 
@@ -148,6 +151,32 @@ class TestEditing:
         session.input(1, 0, "Titanic")
         session.input(1, 1, "James Cameron")
         assert len(session.candidates) == 2
+
+    def test_rewrite_cost_ignores_the_largest_row_index(self, session):
+        # A replay walks the rows that hold samples, not every index up
+        # to the largest one: one far-away cell must not make each later
+        # rewrite loop a billion times while it holds the session.
+        far = 10**9
+        session.input(0, 0, "Avatar")
+        session.input(0, 1, "James Cameron")
+        session.input(1, 0, "Big Fish")
+        session.input(far, 0, "Titanic")
+        outcome = {}
+
+        def rewrite():
+            session.input(1, 0, "Titanic")
+            outcome["cells"] = session_to_dict(session)["cells"]
+            outcome["grid"] = session.spreadsheet.describe()
+
+        worker = threading.Thread(target=rewrite, daemon=True)
+        worker.start()
+        worker.join(timeout=5.0)
+        assert not worker.is_alive(), "rewrite did not finish within 5 s"
+        assert len(session.candidates) == 2
+        assert [cell["row"] for cell in outcome["cells"]] == [0, 0, 1, far]
+        assert outcome["grid"].splitlines()[1:] == [
+            "Avatar\tJames Cameron", "Titanic\t", "Titanic\t",
+        ]
 
 
 class TestUndo:

@@ -5,9 +5,9 @@ import pytest
 from repro import obs
 from repro.cli import main
 from repro.core.naive import NAIVE_PHASES, NaiveEngine
+from repro.core.session import MappingSession
 from repro.core.stats import PHASES, SearchStats
 from repro.core.tpw import TPWEngine
-from repro.keyword_search.engine import KeywordSearchEngine
 
 SAMPLE = ("Avatar", "James Cameron", "Lightstorm Co.", "New Zealand")
 
@@ -57,15 +57,16 @@ class TestSearchTrace:
         assert counters["repro.index.probes{index=inverted}"] > 0
         assert snapshot["histograms"]["repro.search.seconds"]["count"] == 1
 
-    def test_keyword_search_span(self, running_db):
+    def test_search_span_nests_under_its_caller(self, running_db):
+        session = MappingSession(running_db, ["Name", "Director"])
         with obs.scoped() as tracer:
-            hits = KeywordSearchEngine(running_db).search(
-                ["Avatar", "James Cameron"]
-            )
-        roots = [s for s in tracer.finished if s.name == "kwsearch.search"]
+            session.input(0, 0, "Avatar")
+            session.input(0, 1, "James Cameron")
+        roots = [s for s in tracer.finished if s.name == "session.search"]
         assert len(roots) == 1
-        assert roots[0].attributes["hits"] == len(hits)
+        assert roots[0].attributes["candidates"] == len(session.candidates)
         assert roots[0].find("tpw.search") is not None
+        assert not [s for s in tracer.finished if s.name == "tpw.search"]
 
 
 class TestTimingsAlwaysComplete:

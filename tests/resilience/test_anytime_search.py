@@ -10,7 +10,6 @@ import pytest
 
 from repro.core.session import MappingSession
 from repro.core.tpw import TPWEngine
-from repro.keyword_search import KeywordSearchEngine
 from repro.resilience import Budget, REASON_CANCELLED, REASON_WORK
 
 SAMPLE = ("Avatar", "James Cameron")
@@ -95,17 +94,3 @@ class TestSessionIntegration:
         # Re-running the search without a budget heals the flag.
         session.input(0, 0, "Avatar ")
         assert session.last_degradation is None
-
-
-class TestKeywordSearchBudget:
-    def test_unbudgeted_results_are_clean(self, running_db):
-        hits = KeywordSearchEngine(running_db).search(["Avatar"])
-        assert hits.degraded is False
-        assert hits.degradation is None
-
-    def test_exhausted_budget_flags_the_results(self, running_db):
-        engine = KeywordSearchEngine(running_db)
-        budget = Budget(max_work=1)
-        hits = engine.search(["Avatar", "Cameron"], budget=budget)
-        assert hits.degraded is True
-        assert hits.degradation["degraded"] is True
