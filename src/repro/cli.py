@@ -384,7 +384,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             heartbeat_interval_s=args.heartbeat_interval,
             failure_threshold=args.failure_threshold,
             request_timeout_s=args.request_timeout,
-            hedge_delay_s=args.hedge_delay,
             journal_dir=args.journal_dir,
             retry_after_s=args.retry_after,
             drain_timeout_s=args.drain_timeout,
@@ -893,13 +892,13 @@ def build_parser() -> argparse.ArgumentParser:
     shard = sub.add_parser(
         "shard",
         parents=[tracing],
-        help="run one cluster shard backend (serve + restore/locate)",
+        help="run one cluster shard backend (serve + restore/digest)",
         description=(
             "A full mapping service plus the cluster-internal surface "
             "a coordinator needs: POST /admin/sessions/{id}/restore "
-            "(session failover shipping) and GET /locate (one "
-            "partition of a scatter-gather LocateSample). Same flags "
-            "as serve."
+            "(session failover shipping) and GET /admin/digest "
+            "(per-session grid digests for replica repair). Same "
+            "flags as serve."
         ),
     )
     _add_service_flags(shard)
@@ -913,9 +912,9 @@ def build_parser() -> argparse.ArgumentParser:
             "Route mapping sessions across replicated mweaver shard "
             "backends: consistent-hash placement with R-way replica "
             "sets, heartbeat-driven shard health, journal-replay "
-            "session failover, and hedged scatter-gather LocateSample. "
-            "Speaks the same HTTP surface as serve. Exit codes: 2 on "
-            "configuration errors, 1 on runtime failures."
+            "session failover and replica repair. Speaks the same "
+            "HTTP surface as serve. Exit codes: 2 on configuration "
+            "errors, 1 on runtime failures."
         ),
     )
     cluster.add_argument("--host", default="127.0.0.1")
@@ -959,11 +958,6 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument(
         "--request-timeout", type=float, default=10.0, metavar="SECONDS",
         help="per-shard-call HTTP timeout (default: 10)",
-    )
-    cluster.add_argument(
-        "--hedge-delay", type=float, default=0.15, metavar="SECONDS",
-        help="delay before hedging a locate partition to a second "
-             "replica (0 = no hedging, default: 0.15)",
     )
     cluster.add_argument(
         "--journal-dir", metavar="DIR",

@@ -14,8 +14,7 @@ single shard's ``kill -9`` without losing accepted session state:
   ``failure_threshold`` failures, back after ``readmit_threshold``
   successes,
 * :mod:`repro.cluster.coordinator` — session routing with journal-
-  replay failover and hedged scatter-gather LocateSample with
-  partial-result degradation,
+  replay failover,
 * :mod:`repro.cluster.reconcile` — the one level-triggered loop that
   keeps every session's replicas equal to its ring replica set:
   replica shipping, placement moves after live membership changes

@@ -48,10 +48,6 @@ class ClusterConfig:
     readmit_threshold: int = 2
     #: Per-shard-call timeout (seconds) for proxied requests.
     request_timeout_s: float = 10.0
-    #: Scatter-gather hedging: if a LocateSample partition has not
-    #: answered after this long, fire the same partition at the next
-    #: replica and take whichever answers first.  0 disables hedging.
-    hedge_delay_s: float = 0.15
     #: Directory for the coordinator's crash-safe session journal
     #: (``None`` disables journaling — and with it failover replay).
     journal_dir: str | None = None
@@ -104,10 +100,6 @@ class ClusterConfig:
             raise ServiceConfigError("failure_threshold must be >= 1")
         if self.request_timeout_s <= 0:
             raise ServiceConfigError("request_timeout_s must be positive")
-        if self.hedge_delay_s < 0:
-            raise ServiceConfigError(
-                "hedge_delay_s must be >= 0 (0 disables hedging)"
-            )
         if self.retry_after_s <= 0:
             raise ServiceConfigError("retry_after_s must be positive")
         if self.drain_timeout_s < 0:

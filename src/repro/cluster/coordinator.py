@@ -1,4 +1,4 @@
-"""The cluster coordinator: routing, failover, scatter-gather.
+"""The cluster coordinator: routing, failover, replication.
 
 :class:`CoordinatorApp` fronts N ``mweaver shard`` backends with the
 same transport contract as :class:`repro.service.app.ServiceApp`
@@ -34,18 +34,10 @@ Design:
   repairs what its periodic digest scan finds missing or divergent.
   Each session records in ``synced`` which shards hold its current
   grid; a failover onto a shard outside it seats the grid first.
-* **Scatter-gather.** ``GET /locate`` splits the LocateSample scan
-  into one partition per shard (stable attribute hashing — see
-  :func:`repro.service.registry.locate_partition`), fans them out in
-  parallel with hedged requests, and degrades partially: unserved
-  partitions surface as ``degraded`` with a
-  ``Degradation(phase="cluster", reason="shard_down")`` record instead
-  of failing the whole request.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import itertools
 import os
 import threading
@@ -64,7 +56,7 @@ from repro.cluster.health import HealthMonitor
 from repro.cluster.reconcile import Reconciler
 from repro.cluster.ring import HashRing
 from repro.obs import get_logger, get_metrics
-from repro.resilience import Degradation, SessionJournal, replay_journal
+from repro.resilience import SessionJournal, replay_journal
 from repro.service.frontend import FrontEnd
 from repro.service.validation import (
     BadRequest,
@@ -181,17 +173,6 @@ class CoordinatorApp(FrontEnd):
         if self.journal is not None:
             self._recover_sessions()
         self.failovers = 0
-        self.hedges = 0
-        self.degraded_locates = 0
-        workers = max(4, 2 * len(self.config.shards))
-        # Two pools so a scatter task can submit hedge attempts without
-        # ever waiting on its own pool (classic nested-submit deadlock).
-        self._scatter_pool = concurrent.futures.ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="cluster-scatter"
-        )
-        self._hedge_pool = concurrent.futures.ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="cluster-hedge"
-        )
         if start_background:
             self.health.start()
             self.reconciler.start()
@@ -250,8 +231,6 @@ class CoordinatorApp(FrontEnd):
         self._closed = True
         self.reconciler.stop()
         self.health.stop()
-        self._scatter_pool.shutdown(wait=False)
-        self._hedge_pool.shutdown(wait=False)
         for client in self.clients.values():
             client.close()
         if self.journal is not None:
@@ -305,8 +284,6 @@ class CoordinatorApp(FrontEnd):
                     session_id, "GET",
                     f"/sessions/{session_id}/{action}", query,
                 )
-        if parts == ("locate",) and method == "GET":
-            return self.locate(query)
         if parts == ("admin", "shards"):
             if method == "GET":
                 return self.admin_list_shards()
@@ -721,123 +698,6 @@ class CoordinatorApp(FrontEnd):
             "total_reseats": self.reconciler.total_reseats,
         }, {}
 
-    # -- scatter-gather LocateSample -----------------------------------
-
-    def locate(self, query: dict[str, str]) -> Response:
-        """``GET /locate`` — scatter one sample across all shards.
-
-        One partition per shard; hedged per-partition requests; union
-        of whatever answered.  Missing partitions degrade the response
-        (``Degradation(phase="cluster", reason="shard_down")``) rather
-        than failing it — unless *nothing* answered.
-        """
-        dataset = served_dataset(
-            str(query.get("dataset", self.config.datasets[0])),
-            self.config.datasets,
-        )
-        if "sample" not in query:
-            raise BadRequest("missing required query parameter 'sample'")
-        sample = str(query["sample"])
-        # Partition over the *live* ring so joins widen the scan and
-        # decommissions stop targeting the departing shard.
-        parts = len(self.ring.shards)
-        started = time.perf_counter()
-        futures = [
-            self._scatter_pool.submit(
-                self._locate_partition, dataset, sample, parts, part
-            )
-            for part in range(parts)
-        ]
-        entries: set[tuple[str, str]] = set()
-        unserved = 0
-        for future in futures:
-            result = future.result()
-            if result is None:
-                unserved += 1
-            else:
-                entries.update(
-                    (str(rel), str(attr)) for rel, attr in result
-                )
-        if unserved == parts:
-            raise ServiceUnavailableError(
-                "no shard served any LocateSample partition",
-                retry_after_s=self.config.retry_after_s,
-                reason="shard_down",
-            )
-        body: dict[str, Any] = {
-            "dataset": dataset,
-            "sample": sample,
-            "entries": [list(entry) for entry in sorted(entries)],
-            "parts": parts,
-            "served_parts": parts - unserved,
-            "degraded": unserved > 0,
-        }
-        if unserved:
-            self.degraded_locates += 1
-            get_metrics().counter("repro.cluster.locate.degraded").inc()
-            body["degradation"] = Degradation(
-                phase="cluster",
-                reason="shard_down",
-                elapsed_s=time.perf_counter() - started,
-                skipped={"partitions": unserved},
-            ).to_dict()
-        return 200, body, {}
-
-    def _locate_partition(
-        self, dataset: str, sample: str, parts: int, part: int
-    ) -> list | None:
-        """Fetch one partition, hedging to the next replica when slow."""
-        candidates = [
-            shard
-            for shard in self.ring.replica_set(f"locate#{part}")
-            if self.health.is_up(shard)
-        ]
-        if not candidates:
-            return None
-
-        def attempt(shard: str) -> list | None:
-            try:
-                reply = self._shard_call(
-                    shard, "GET", "/locate",
-                    {
-                        "dataset": dataset, "sample": sample,
-                        "parts": str(parts), "part": str(part),
-                    },
-                )
-            except ShardUnavailableError:
-                self.health.record_failure(shard)
-                return None
-            if reply.status != 200:
-                return None
-            self.health.record_success(shard)
-            return reply.json()["entries"]
-
-        if self.config.hedge_delay_s <= 0 or len(candidates) == 1:
-            # Hedging disabled (or nowhere to hedge): sequential
-            # failover down the candidate list.
-            for shard in candidates:
-                result = attempt(shard)
-                if result is not None:
-                    return result
-            return None
-        first = self._hedge_pool.submit(attempt, candidates[0])
-        try:
-            result = first.result(timeout=self.config.hedge_delay_s)
-            if result is not None:
-                return result
-        except concurrent.futures.TimeoutError:
-            pass
-        # The preferred shard is slow or freshly failed: race a second
-        # attempt against it and take whichever answers first.
-        self.hedges += 1
-        get_metrics().counter("repro.cluster.locate.hedges").inc()
-        second = self._hedge_pool.submit(attempt, candidates[1])
-        for future in concurrent.futures.as_completed((first, second)):
-            result = future.result()
-            if result is not None:
-                return result
-        return None
-
     # -- health + metrics ----------------------------------------------
 
     def _health(self) -> tuple[dict[str, Any], list[str]]:
@@ -867,8 +727,6 @@ class CoordinatorApp(FrontEnd):
                 "placement": placement,
             },
             "failovers": self.failovers,
-            "hedges": self.hedges,
-            "degraded_locates": self.degraded_locates,
             "pending": self.reconciler.pending(),
             "membership": {
                 "changes": self.membership_changes,
@@ -914,7 +772,5 @@ class CoordinatorApp(FrontEnd):
                 "sessions": live,
                 "shards_up": len(self.health.up_shards()),
                 "failovers": self.failovers,
-                "hedges": self.hedges,
-                "degraded_locates": self.degraded_locates,
             },
         }

@@ -2,9 +2,9 @@
 
 The paper exposes one headline knob, ``PMNJ`` (Pairwise Maximal Number of
 Joins, Section 4.5.2), and fixes it to two in all experiments.  This
-module collects that knob together with the engineering limits that keep
-the search well-behaved on adversarial inputs, plus the ranking weights
-of Section 4.5.5.
+module collects that knob together with the naive baseline's
+enumeration bound and the ranking weights of Section 4.5.5.  A TPW
+search is stopped early only by a :class:`~repro.resilience.Budget`.
 """
 
 from __future__ import annotations
@@ -50,14 +50,6 @@ class TPWConfig:
         (no immediate U-turns).  Such walks only re-derive the tuples
         they came from and inflate the search space.  Set to true to
         reproduce the unrestricted walk semantics of Algorithm 3.
-    max_tuple_paths_per_mapping:
-        Upper bound on the number of pairwise tuple paths materialised
-        for a single pairwise mapping path.  ``0`` means unbounded.
-    max_woven_paths_per_level:
-        Upper bound on the number of tuple paths kept at each weaving
-        level.  ``0`` means unbounded.  When exceeded, the engine raises
-        :class:`~repro.exceptions.SearchBudgetExceeded` rather than
-        silently truncating.
     exhaustive_weave:
         If false (default, the paper's Algorithm 6 semantics), weaving
         attaches the unfused remainder of a pairwise path as a new tail
@@ -75,18 +67,12 @@ class TPWConfig:
 
     pmnj: int = 2
     allow_backtrack: bool = False
-    max_tuple_paths_per_mapping: int = 0
-    max_woven_paths_per_level: int = 0
     exhaustive_weave: bool = False
     ranking: RankingWeights = field(default_factory=RankingWeights)
 
     def __post_init__(self) -> None:
         if self.pmnj < 0:
             raise ValueError("pmnj must be non-negative")
-        if self.max_tuple_paths_per_mapping < 0:
-            raise ValueError("max_tuple_paths_per_mapping must be >= 0")
-        if self.max_woven_paths_per_level < 0:
-            raise ValueError("max_woven_paths_per_level must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -32,22 +32,20 @@ def instantiate_mapping_path(
     samples: Sequence[str],
     model: ErrorModel,
     *,
-    limit: int = 0,
     probes: ProbeMemo | None = None,
 ) -> list[TuplePath]:
     """All tuple paths instantiating ``mapping_path`` for ``samples``.
 
     ``samples`` is the full sample tuple; only the columns the mapping
-    path projects constrain the query.  ``limit=0`` means unbounded.
-    ``probes`` is a caller's memo of resolved text probes (see
-    :mod:`repro.relational.executor`).
+    path projects constrain the query.  ``probes`` is a caller's memo of
+    resolved text probes (see :mod:`repro.relational.executor`).
     """
     bound = {
         key: samples[key] for key in mapping_path.projections if key < len(samples)
     }
     predicates = mapping_path.predicates_for(bound, model)
     assignments = evaluate_tree(
-        db, mapping_path.tree, predicates, limit=limit, probes=probes
+        db, mapping_path.tree, predicates, probes=probes
     )
     return [
         TuplePath(mapping_path.tree, assignment, mapping_path.projections)
@@ -120,7 +118,6 @@ def create_pairwise_tuple_paths(
                     mapping_path,
                     samples,
                     model,
-                    limit=config.max_tuple_paths_per_mapping,
                     probes=probes,
                 )
                 if tuple_paths:

@@ -334,11 +334,7 @@ class TPWEngine:
                 mapping = single_relation_mapping(relation, {0: attribute})
                 tuple_paths.extend(
                     instantiate_mapping_path(
-                        self.db,
-                        mapping,
-                        samples,
-                        self.model,
-                        limit=self.config.max_tuple_paths_per_mapping,
+                        self.db, mapping, samples, self.model
                     )
                 )
             stats.complete_tuple_paths = len(tuple_paths)

@@ -35,8 +35,6 @@ the baseline explore exactly the same mapping family.
 
 from __future__ import annotations
 
-import itertools
-import time
 from collections.abc import Callable, Hashable, Sequence
 from typing import NamedTuple
 
@@ -45,14 +43,11 @@ from repro.core.canonical import Signature, encode_tree, tree_adjacency, tree_ce
 from repro.core.mapping_path import MappingPath
 from repro.core.stats import SearchStats
 from repro.core.tuple_path import TuplePath
-from repro.exceptions import SearchBudgetExceeded
-from repro.obs import get_logger, get_metrics, get_tracer
+from repro.obs import get_metrics, get_tracer
 from repro.obs.explain import NULL_EXPLAIN
 from repro.obs.metrics import COUNT_BUCKETS
 from repro.relational.query import JoinTree, JoinTreeEdge
-from repro.resilience.budget import NULL_BUDGET, REASON_LIMIT
-
-_log = get_logger(__name__)
+from repro.resilience.budget import NULL_BUDGET
 
 
 class _WeaveOutcome(NamedTuple):
@@ -381,10 +376,6 @@ def weave_complete_tuple_paths(
     ``budget`` is checked once per base path; on exhaustion the most
     advanced non-empty level is returned (partial tuple paths rank into
     partial candidate mappings downstream) with a ``weave`` degradation.
-    A *live* budget also converts the ``max_woven_paths_per_level``
-    overflow into degradation — the level is truncated to the limit and
-    weaving stops — where the legacy (un-budgeted) path keeps raising
-    :class:`SearchBudgetExceeded`.
     """
     tracer = tracer or get_tracer()
     metrics = get_metrics()
@@ -406,7 +397,6 @@ def weave_complete_tuple_paths(
             anchor_index.setdefault(anchor, []).append(_Partner(tuple_path, key))
 
     current = level
-    start = time.monotonic()
     for size in range(2, target_size):
         with tracer.span("tpw.weave.level", level=size + 1) as level_span:
             next_level: dict[object, TuplePath] = {}
@@ -476,46 +466,6 @@ def weave_complete_tuple_paths(
             metrics.histogram(
                 "repro.weave.level_width", buckets=COUNT_BUCKETS
             ).observe(len(next_level))
-            if (
-                config.max_woven_paths_per_level
-                and len(next_level) > config.max_woven_paths_per_level
-            ):
-                _log.warning(
-                    "weave budget exceeded at level %d: %d > %d kept paths",
-                    size + 1, len(next_level), config.max_woven_paths_per_level,
-                )
-                if budget.live:
-                    # Anytime semantics: truncate to the configured width
-                    # and surface the overflow as a degradation instead
-                    # of failing the whole search.
-                    dropped = len(next_level) - config.max_woven_paths_per_level
-                    budget.stop(
-                        "weave",
-                        reason=REASON_LIMIT,
-                        level=size + 1,
-                        paths_dropped=dropped,
-                        levels_skipped=target_size - (size + 1),
-                    )
-                    kept = dict(
-                        itertools.islice(
-                            next_level.items(),
-                            config.max_woven_paths_per_level,
-                        )
-                    )
-                    complete = list(kept.values())
-                    stats.complete_tuple_paths = len(complete)
-                    return complete
-                raise SearchBudgetExceeded(
-                    f"tuple paths at level {size + 1}",
-                    config.max_woven_paths_per_level,
-                    phase="weave",
-                    elapsed_s=time.monotonic() - start,
-                    explored={
-                        "woven": woven,
-                        "kept": len(next_level),
-                        "level": size + 1,
-                    },
-                )
         current = next_level
 
     complete = list(current.values())

@@ -287,7 +287,7 @@ NULL_EXPLAIN = NullExplainRecorder()
 def find_searches(roots: "list[Span] | tuple[Span, ...]") -> "list[Span]":
     """Every ``tpw.search`` span in ``roots``, walking nested trees.
 
-    Session and keyword-search traces nest ``tpw.search`` below their
+    Session and service-request traces nest ``tpw.search`` below their
     own roots, so this walks rather than filtering top level only.
     """
     found = []

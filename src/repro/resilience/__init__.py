@@ -33,7 +33,6 @@ from repro.resilience.budget import (
     NULL_BUDGET,
     REASON_CANCELLED,
     REASON_DEADLINE,
-    REASON_LIMIT,
     REASON_WORK,
     Budget,
     Degradation,
@@ -62,7 +61,6 @@ __all__ = [
     "REASON_DEADLINE",
     "REASON_WORK",
     "REASON_CANCELLED",
-    "REASON_LIMIT",
     "FaultSpec",
     "FaultInjector",
     "FAULT_POINTS",

@@ -2,12 +2,12 @@
 
 A :class:`Budget` is the cancellation token threaded through the TPW
 hot loops (pairwise walk enumeration, instantiation queries, weave
-levels, ranking) and the keyword-search engine.  The loops call
-:meth:`Budget.exhausted` at iteration boundaries; when the deadline
-passes, the work allowance runs out, or a caller cancels from another
-thread, the phase stops where it is, records a :class:`Degradation`
-describing what was skipped, and the search returns the best-effort
-ranked candidates found so far instead of raising.
+levels, ranking).  The loops call :meth:`Budget.exhausted` at
+iteration boundaries; when the deadline passes, the work allowance
+runs out, or a caller cancels from another thread, the phase stops
+where it is, records a :class:`Degradation` describing what was
+skipped, and the search returns the best-effort ranked candidates
+found so far instead of raising.
 
 Design constraints:
 
@@ -34,7 +34,6 @@ from typing import Any
 REASON_DEADLINE = "deadline"
 REASON_WORK = "work_budget"
 REASON_CANCELLED = "cancelled"
-REASON_LIMIT = "config_limit"
 
 
 @dataclass
@@ -73,8 +72,6 @@ class NullBudget:
 
     __slots__ = ()
 
-    #: A null budget is not live: call sites keep legacy raise behavior.
-    live = False
     #: A null budget can never degrade a search.
     degraded = False
     #: ...and therefore never carries degradations.
@@ -90,9 +87,7 @@ class NullBudget:
     def cancel(self, reason: str = REASON_CANCELLED) -> None:
         """No-op (there is nothing to cancel)."""
 
-    def stop(
-        self, phase: str, *, reason: str | None = None, **skipped: int
-    ) -> None:
+    def stop(self, phase: str, **skipped: int) -> None:
         """No-op (a null budget never stops a phase)."""
 
     def summary(self) -> None:
@@ -129,9 +124,6 @@ class Budget:
         "_clock", "_started_at", "_work", "_cancelled_reason",
         "_exhausted_reason", "_stride", "_calls",
     )
-
-    #: A live budget degrades searches instead of letting them raise.
-    live = True
 
     def __init__(
         self,
@@ -222,20 +214,16 @@ class Budget:
 
     # -- degradation records -------------------------------------------
 
-    def stop(
-        self, phase: str, *, reason: str | None = None, **skipped: int
-    ) -> Degradation:
+    def stop(self, phase: str, **skipped: int) -> Degradation:
         """Record that ``phase`` stopped early; returns the record.
 
         Called by the phase that noticed exhaustion, with whatever
-        skipped-work counters it can cheaply provide.  ``reason``
-        overrides the budget's own verdict — used when a *config* limit
-        (not the budget) stopped the phase (:data:`REASON_LIMIT`).  The
-        first recorded degradation is the search's headline reason.
+        skipped-work counters it can cheaply provide.  The first
+        recorded degradation is the search's headline reason.
         """
         record = Degradation(
             phase=phase,
-            reason=reason or self._exhausted_reason or REASON_CANCELLED,
+            reason=self._exhausted_reason or REASON_CANCELLED,
             elapsed_s=self.elapsed_s(),
             skipped={key: int(value) for key, value in skipped.items()},
         )

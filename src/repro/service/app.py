@@ -75,12 +75,7 @@ from repro.resilience.journal import grid_digest
 from repro.service.admission import AdmissionController
 from repro.service.config import ServiceConfig
 from repro.service.frontend import FrontEnd
-from repro.service.registry import (
-    DatasetRegistry,
-    LocationCache,
-    locate_partition,
-    normalize_sample,
-)
+from repro.service.registry import DatasetRegistry, LocationCache
 from repro.service.sessions import ManagedSession, SessionManager
 from repro.service.validation import (
     BadRequest,
@@ -338,11 +333,9 @@ class ServiceApp(FrontEnd):
                 return self.suggest(session_id, query)
         if self.config.shard_mode:
             # Cluster-internal surface (mweaver shard): the coordinator
-            # restores failed-over sessions and scatters LocateSample
-            # partitions here.  Gated so a standalone serve never
-            # accepts session overwrites from the network.
-            if parts == ("locate",) and method == "GET":
-                return self.locate(query)
+            # restores failed-over sessions and scans replica digests
+            # here.  Gated so a standalone serve never accepts session
+            # overwrites from the network.
             if parts == ("admin", "digest") and method == "GET":
                 return self.session_digests()
             if (
@@ -599,47 +592,6 @@ class ServiceApp(FrontEnd):
                 "digest": grid_digest(cells),
             }
         return 200, {"sessions": sessions, "count": len(sessions)}, {}
-
-    def locate(self, query: dict[str, str]) -> Response:
-        """``GET /locate`` — one partition of a scatter LocateSample.
-
-        ``?dataset=&sample=&parts=N&part=i`` scans only the text
-        attributes whose stable hash lands in partition ``i`` of ``N``,
-        so a coordinator can fan one sample out across shards and union
-        the results (Algorithm 1's location map, horizontally split).
-        Partitioning hashes the attribute *name*, not the data, so any
-        shard can serve any partition — that is what lets the
-        coordinator hedge a slow partition onto a replica.
-        """
-        dataset = served_dataset(
-            str(query.get("dataset", self.config.datasets[0])),
-            self.config.datasets,
-        )
-        if "sample" not in query:
-            raise BadRequest("missing required query parameter 'sample'")
-        sample = normalize_sample(str(query["sample"]))
-        if not sample:
-            raise BadRequest("sample must not be blank")
-        parts = as_int(query.get("parts", 1), "parts")
-        part = as_int(query.get("part", 0), "part")
-        if parts < 1:
-            raise BadRequest("parts must be >= 1")
-        if not 0 <= part < parts:
-            raise BadRequest("part must be in [0, parts)")
-        db = self.registry.get(dataset)
-        entries = [
-            [relation, attribute]
-            for relation, attribute in db.schema.text_attribute_pairs()
-            if locate_partition(relation, attribute, parts) == part
-            and db.attribute_contains(relation, attribute, sample)
-        ]
-        return 200, {
-            "dataset": dataset,
-            "sample": sample,
-            "parts": parts,
-            "part": part,
-            "entries": entries,
-        }, {}
 
     def _health(self) -> tuple[dict[str, Any], list[str]]:
         body: dict[str, Any] = {

@@ -90,7 +90,7 @@ class ServiceConfig:
     #: Shard mode (``mweaver shard``): expose the cluster-internal
     #: surface — ``POST /admin/sessions/{id}/restore`` (coordinator
     #: ships a session's journaled grid here on failover) and
-    #: ``GET /locate`` (one partition of a scatter-gather LocateSample).
+    #: ``GET /admin/digest`` (per-session grid digests for repair).
     #: Off by default: a standalone ``mweaver serve`` should not accept
     #: session overwrites from the network.
     shard_mode: bool = False

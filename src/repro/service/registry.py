@@ -22,7 +22,6 @@ Two pieces of cross-session state make the service scale past one user:
 from __future__ import annotations
 
 import threading
-import zlib
 from collections import OrderedDict
 from collections.abc import Callable, Sequence
 
@@ -133,17 +132,6 @@ def normalize_sample(sample: str) -> str:
     tokenizes on whitespace.
     """
     return " ".join(sample.split())
-
-
-def locate_partition(relation: str, attribute: str, parts: int) -> int:
-    """Which of ``parts`` LocateSample partitions owns this attribute.
-
-    CRC32 rather than ``hash()``: the assignment must agree across
-    processes (coordinator and every shard) regardless of
-    ``PYTHONHASHSEED``, or a scatter-gather would double-scan some
-    attributes and skip others.
-    """
-    return zlib.crc32(f"{relation}.{attribute}".encode("utf-8")) % parts
 
 
 def _model_key(model: ErrorModel) -> str:

@@ -98,7 +98,7 @@ _SESSION_ACTIONS = frozenset({"cells", "candidates", "explain", "suggest"})
 
 #: Id-free paths either front end serves.
 _FIXED_ROUTES = frozenset({
-    ("healthz",), ("metrics",), ("sessions",), ("locate",),
+    ("healthz",), ("metrics",), ("sessions",),
     ("debug", "profile"), ("debug", "requests"),
     ("admin", "digest"), ("admin", "repair"), ("admin", "shards"),
 })

@@ -185,7 +185,7 @@ class EireneModel(ToolModel):
             EIRENE_EXAMPLES * per_example_characters * rng.uniform(0.95, 1.1)
         )
 
-        # Clicks: add/locate each source relation per example, field
+        # Clicks: add or locate each source relation per example, field
         # navigation, and the fit/refine round trips.
         clicks = math.ceil(
             EIRENE_EXAMPLES * n_vertices * 5

@@ -73,7 +73,6 @@ def make_cluster(cluster_registry):
             replication=replication,
             heartbeat_interval_s=0.05,
             failure_threshold=2,
-            hedge_delay_s=0.0,  # hedging off by default (deterministic)
         )
         settings.update(overrides)
         coordinator = CoordinatorApp(

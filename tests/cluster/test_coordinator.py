@@ -1,4 +1,4 @@
-"""Tests for the coordinator: routing, failover, replication, locate.
+"""Tests for the coordinator: routing, failover, replication, recovery.
 
 All over in-process shard apps (see conftest) — deterministic, no
 sockets, background threads off.  The invariant under test everywhere:
@@ -357,97 +357,6 @@ class TestReplication:
         assert coordinator.reconciler.pending() == 0
 
 
-class TestLocate:
-    def test_union_matches_the_unpartitioned_answer(self, make_cluster):
-        coordinator, apps, _clients = make_cluster()
-        status, body, _ = coordinator.handle(
-            "GET", "/locate",
-            {"dataset": "running", "sample": "Tim Burton"}, None,
-        )
-        assert status == 200, body
-        assert body["degraded"] is False
-        assert body["served_parts"] == body["parts"] == 3
-
-        any_app = next(iter(apps.values()))
-        status, whole, _ = any_app.handle(
-            "GET", "/locate",
-            {"dataset": "running", "sample": "Tim Burton"}, None,
-        )
-        assert status == 200
-        assert body["entries"] == whole["entries"]
-
-    def test_partial_coverage_degrades_instead_of_failing(
-        self, make_cluster
-    ):
-        coordinator, _apps, clients = make_cluster()
-        ring = coordinator.ring
-        shards = coordinator.config.shards
-        survivor = next(
-            shard for shard in shards
-            if 0 < sum(
-                shard in ring.replica_set(f"locate#{part}")
-                for part in range(len(shards))
-            ) < len(shards)
-        )
-        for shard in shards:
-            if shard != survivor:
-                clients[shard].down = True
-                mark_down(coordinator, shard)
-        status, body, _ = coordinator.handle(
-            "GET", "/locate",
-            {"dataset": "running", "sample": "Tim Burton"}, None,
-        )
-        assert status == 200, body
-        assert body["degraded"] is True
-        assert 0 < body["served_parts"] < body["parts"]
-        degradation = body["degradation"]
-        assert degradation["phase"] == "cluster"
-        assert degradation["reason"] == "shard_down"
-        assert degradation["skipped"]["partitions"] > 0
-        assert coordinator.degraded_locates == 1
-
-    def test_total_loss_is_503_shard_down(self, make_cluster):
-        coordinator, _apps, clients = make_cluster()
-        for shard in coordinator.config.shards:
-            clients[shard].down = True
-            mark_down(coordinator, shard)
-        status, body, _ = coordinator.handle(
-            "GET", "/locate",
-            {"dataset": "running", "sample": "Tim Burton"}, None,
-        )
-        assert status == 503
-        assert body["reason"] == "shard_down"
-
-    def test_slow_primary_is_hedged(self, make_cluster):
-        import time as time_module
-
-        coordinator, _apps, clients = make_cluster(hedge_delay_s=0.02)
-
-        # Slow down a shard that is the *preferred* replica of at least
-        # one partition — only the first candidate can be hedged away.
-        slow_shards = {coordinator.ring.replica_set("locate#0")[0]}
-        for address, client in clients.items():
-            if address in slow_shards:
-                original_call = client.call
-
-                def slow_call(
-                    method, path, query=None, body=None,
-                    _orig=original_call,
-                ):
-                    if path == "/locate":
-                        time_module.sleep(0.25)
-                    return _orig(method, path, query, body)
-
-                client.call = slow_call
-        status, body, _ = coordinator.handle(
-            "GET", "/locate",
-            {"dataset": "running", "sample": "Tim Burton"}, None,
-        )
-        assert status == 200, body
-        assert body["degraded"] is False
-        assert coordinator.hedges >= 1
-
-
 class TestJournalRecovery:
     def test_restart_recovers_the_session_table(
         self, make_cluster, tmp_path
@@ -467,7 +376,6 @@ class TestJournalRecovery:
                 journal_dir=str(tmp_path),
                 heartbeat_interval_s=0.05,
                 failure_threshold=2,
-                hedge_delay_s=0.0,
             ),
             clients=clients,
             start_background=False,
@@ -507,7 +415,6 @@ class TestJournalRecovery:
                 journal_dir=str(tmp_path),
                 heartbeat_interval_s=0.05,
                 failure_threshold=2,
-                hedge_delay_s=0.0,
             ),
             clients=clients,
             start_background=False,
@@ -540,7 +447,6 @@ class TestJournalRecovery:
                 journal_dir=str(tmp_path),
                 heartbeat_interval_s=0.05,
                 failure_threshold=2,
-                hedge_delay_s=0.0,
             ),
             clients=clients,
             start_background=False,

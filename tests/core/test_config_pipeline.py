@@ -1,10 +1,7 @@
 """Pipeline behaviour under non-default configuration knobs."""
 
-import pytest
-
 from repro.config import TPWConfig
 from repro.core.tpw import TPWEngine
-from repro.exceptions import SearchBudgetExceeded
 
 
 class TestAllowBacktrack:
@@ -31,27 +28,6 @@ class TestAllowBacktrack:
             backtrack.stats.pairwise_mapping_paths
             >= default.stats.pairwise_mapping_paths
         )
-
-
-class TestTuplePathLimits:
-    def test_per_mapping_limit_bounds_support(self, running_db):
-        # Cameron directed two movies; an unconstrained 'Cameron' end
-        # yields several tuple paths per mapping.
-        config = TPWConfig(max_tuple_paths_per_mapping=1)
-        result = TPWEngine(running_db, config).search(("The", "Cameron"))
-        for candidate in result.candidates:
-            # support can exceed 1 only through weaving different
-            # pairwise combinations, not through one mapping's query
-            assert candidate.support >= 1
-
-    def test_level_budget_raises(self, yahoo_db):
-        config = TPWConfig(max_woven_paths_per_level=1)
-        engine = TPWEngine(yahoo_db, config)
-        title = yahoo_db.table("movie").value(0, "title")
-        date = yahoo_db.table("movie").value(0, "release_date")
-        rating = yahoo_db.table("movie").value(0, "mpaa_rating")
-        with pytest.raises(SearchBudgetExceeded):
-            engine.search((title, date, rating))
 
 
 class TestFixturesCache:

@@ -69,15 +69,6 @@ class TestInstantiateMappingPath:
         # empty sample is never contained: no paths at all
         assert paths == []
 
-    def test_limit(self, running_db):
-        # Cameron directed Avatar and Titanic: sample 'Cameron' alone at
-        # the person end with an unconstraining movie sample.
-        mapping = direct_mapping()
-        paths = instantiate_mapping_path(
-            running_db, mapping, ("The", "James Cameron"), MODEL, limit=1
-        )
-        assert len(paths) <= 1
-
     def test_paths_share_mapping_structure(self, running_db):
         mapping = direct_mapping()
         for path in instantiate_mapping_path(

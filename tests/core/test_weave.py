@@ -1,7 +1,5 @@
 """Unit tests for weaving (Algorithms 5–6)."""
 
-import pytest
-
 from repro.config import TPWConfig
 from repro.core.mapping_path import MappingPath
 from repro.core.stats import SearchStats
@@ -11,8 +9,8 @@ from repro.core.weave import (
     weave_mapping_paths,
     weave_tuple_paths,
 )
-from repro.exceptions import SearchBudgetExceeded
 from repro.relational.query import JoinTree, JoinTreeEdge
+from repro.resilience import REASON_WORK, Budget
 
 
 def chain_tree(relations, edges) -> JoinTree:
@@ -245,24 +243,23 @@ class TestWeaveCompleteLevels:
         return {(0, 1): [base_path()], (1, 2): [variant_a, variant_b]}
 
     def test_budget_enforced(self):
-        # Unbounded (0) succeeds and yields two complete paths…
+        # Unbudgeted, weaving yields two complete paths…
         stats = SearchStats()
         complete = weave_complete_tuple_paths(
             self.make_wide_ptpm(), 3, TPWConfig(), stats
         )
         assert len(complete) == 2
-        # …but a per-level cap of one is exceeded.
-        with pytest.raises(SearchBudgetExceeded):
-            weave_complete_tuple_paths(
-                self.make_wide_ptpm(),
-                3,
-                TPWConfig(max_woven_paths_per_level=1),
-                SearchStats(),
-            )
-
-    def test_negative_budget_rejected_at_config(self):
-        with pytest.raises(ValueError):
-            TPWConfig(max_woven_paths_per_level=-1)
+        # …while a budget of one work unit per base stops after two of
+        # the three level-2 bases and records a weave degradation.
+        budget = Budget(max_work=1)
+        weave_complete_tuple_paths(
+            self.make_wide_ptpm(), 3, TPWConfig(), SearchStats(),
+            budget=budget,
+        )
+        summary = budget.summary()
+        assert summary["phase"] == "weave"
+        assert summary["reason"] == REASON_WORK
+        assert summary["phases"][0]["skipped"]["bases_skipped"] == 1
 
     def test_stats_count_woven(self):
         stats = SearchStats()

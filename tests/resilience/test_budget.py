@@ -10,7 +10,6 @@ from repro.resilience import (
     NullBudget,
     REASON_CANCELLED,
     REASON_DEADLINE,
-    REASON_LIMIT,
     REASON_WORK,
 )
 
@@ -126,12 +125,6 @@ class TestDegradationRecords:
             "instantiate", "rank",
         ]
 
-    def test_reason_override_for_config_limits(self):
-        budget = Budget()
-        record = budget.stop("weave", reason=REASON_LIMIT, paths_dropped=10)
-        assert record.reason == REASON_LIMIT
-        assert budget.degraded
-
     def test_clean_budget_summary_is_none(self):
         assert Budget().summary() is None
 
@@ -139,8 +132,6 @@ class TestDegradationRecords:
 class TestNullBudget:
     def test_is_the_inert_default(self):
         assert isinstance(NULL_BUDGET, NullBudget)
-        assert NULL_BUDGET.live is False
-        assert Budget.live is True
 
     def test_never_exhausts_or_records(self):
         assert not NULL_BUDGET.exhausted()
@@ -158,6 +149,7 @@ class TestValidation:
         {"deadline_s": -1.0},
         {"max_work": 0},
         {"check_stride": 0},
+        {"max_work": -1},
     ])
     def test_bad_parameters_raise(self, kwargs):
         with pytest.raises(ValueError):

@@ -30,7 +30,6 @@ KNOWN_ROUTES = (
     ("GET", "/sessions/s1/candidates", "GET /sessions/{id}/candidates"),
     ("GET", "/sessions/s1/explain", "GET /sessions/{id}/explain"),
     ("GET", "/sessions/s1/suggest", "GET /sessions/{id}/suggest"),
-    ("GET", "/locate", "GET /locate"),
     ("GET", "/admin/digest", "GET /admin/digest"),
     ("POST", "/admin/sessions/s1/restore",
      "POST /admin/sessions/{id}/restore"),
@@ -50,6 +49,7 @@ UNKNOWN_PATHS = (
     "/admin/sessions/s1/wipe",
     "/debug/requests/r-17/more",
     "/healthz/deep",
+    "/locate",
 )
 
 

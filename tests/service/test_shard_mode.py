@@ -1,17 +1,15 @@
 """Tests for the cluster-internal shard surface on :class:`ServiceApp`.
 
 ``shard_mode`` unlocks two routes a coordinator needs — ``POST
-/admin/sessions/{id}/restore`` (failover shipping) and ``GET /locate``
-(one partition of scatter-gather LocateSample) — plus the ``applied``
-flag on cell responses that tells the coordinator which inputs to
-journal under the journal-only-what-was-kept rule.
+/admin/sessions/{id}/restore`` (failover shipping) and ``GET
+/admin/digest`` (replica repair scans) — plus the ``applied`` flag on
+cell responses that tells the coordinator which inputs to journal
+under the journal-only-what-was-kept rule.
 """
 
 from __future__ import annotations
 
 import pytest
-
-from repro.service.registry import locate_partition
 
 
 @pytest.fixture
@@ -38,10 +36,7 @@ def _restore_payload(**overrides):
 class TestGating:
     def test_plain_serve_hides_the_cluster_surface(self, make_app):
         app = make_app()  # shard_mode defaults to False
-        status, _, _ = app.handle(
-            "GET", "/locate",
-            {"dataset": "running", "sample": "Tim Burton"}, None,
-        )
+        status, _, _ = app.handle("GET", "/admin/digest", {}, None)
         assert status == 404
         status, _, _ = app.handle(
             "POST", "/admin/sessions/x1/restore", {}, _restore_payload()
@@ -49,11 +44,13 @@ class TestGating:
         assert status == 404
 
     def test_shard_mode_exposes_it(self, shard):
-        status, body, _ = shard.handle(
+        status, body, _ = shard.handle("GET", "/admin/digest", {}, None)
+        assert status == 200, body
+        status, _, _ = shard.handle(
             "GET", "/locate",
             {"dataset": "running", "sample": "Tim Burton"}, None,
         )
-        assert status == 200, body
+        assert status == 404
 
 
 class TestRestore:
@@ -223,53 +220,3 @@ class TestAppliedFlag:
         )
         assert status == 200
         assert body["applied"] is True
-
-
-class TestLocate:
-    def test_partition_union_equals_the_unpartitioned_answer(self, shard):
-        whole_status, whole, _ = shard.handle(
-            "GET", "/locate",
-            {"dataset": "running", "sample": "Tim Burton"}, None,
-        )
-        assert whole_status == 200
-        union: set[tuple[str, str]] = set()
-        for part in range(3):
-            status, body, _ = shard.handle(
-                "GET", "/locate",
-                {
-                    "dataset": "running",
-                    "sample": "Tim Burton",
-                    "parts": "3",
-                    "part": str(part),
-                },
-                None,
-            )
-            assert status == 200, body
-            assert body["parts"] == 3 and body["part"] == part
-            for relation, attribute in body["entries"]:
-                assert locate_partition(relation, attribute, 3) == part
-                union.add((relation, attribute))
-        assert union == {tuple(e) for e in whole["entries"]}
-
-    def test_locate_validates_inputs(self, shard):
-        bad_queries = [
-            {"dataset": "nope", "sample": "x"},
-            {"dataset": "running", "sample": "   "},
-            {"dataset": "running"},
-            {"dataset": "running", "sample": "x", "parts": "0"},
-            {"dataset": "running", "sample": "x", "parts": "2", "part": "2"},
-            {"dataset": "running", "sample": "x", "parts": "abc"},
-        ]
-        for query in bad_queries:
-            status, body, _ = shard.handle("GET", "/locate", query, None)
-            assert status == 400, (query, body)
-
-    def test_partitioner_is_stable_and_total(self):
-        # The coordinator and every shard must agree on the partition
-        # of an attribute regardless of interpreter hash seeds.
-        assert locate_partition("movie", "title", 3) == \
-            locate_partition("movie", "title", 3)
-        for parts in (1, 2, 3, 7):
-            assert 0 <= locate_partition("person", "name", parts) < parts
-        # parts=1 maps everything to the single partition.
-        assert locate_partition("movie", "title", 1) == 0

@@ -28,18 +28,10 @@ class TestTPWConfig:
         assert config.pmnj == 2
         assert config.allow_backtrack is False
         assert config.exhaustive_weave is False
-        assert config.max_tuple_paths_per_mapping == 0
-        assert config.max_woven_paths_per_level == 0
 
     def test_negative_pmnj_rejected(self):
         with pytest.raises(ValueError):
             TPWConfig(pmnj=-1)
-
-    def test_negative_limits_rejected(self):
-        with pytest.raises(ValueError):
-            TPWConfig(max_tuple_paths_per_mapping=-1)
-        with pytest.raises(ValueError):
-            TPWConfig(max_woven_paths_per_level=-5)
 
     def test_custom_ranking(self):
         config = TPWConfig(ranking=RankingWeights(join_weight=0.2))
