@@ -11,8 +11,8 @@ Subcommands
 ``explain``
     Run one traced sample search (or load a ``--trace-out`` JSON-lines
     file) and print its provenance report: which mapping paths were
-    generated, kept or pruned (and why — zero-support, PMNJ bound,
-    dominated), the weave fuse statistics, and every candidate's score
+    generated, kept or pruned (and why — zero-support or PMNJ bound),
+    the weave fuse statistics (dominated paths), and every candidate's score
     decomposition.  ``--format json`` for machines, ``--html FILE`` for
     a single-file report.
 ``serve``

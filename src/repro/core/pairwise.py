@@ -8,6 +8,16 @@ the schema graph from each relation containing sample ``i`` (Algorithm
 3, "Grow"); each walk reaching a relation containing sample ``j`` is
 turned into mapping paths by the attribute cross-product of Algorithm 4
 ("Create").
+
+The generated paths need no deduplication: within one ``(i, j)``
+bucket, two distinct walks or attribute choices never give isomorphic
+mapping paths.  Vertex 0 is the only vertex projecting key ``i`` (a
+zero-join path has one vertex), so an isomorphism must map it to vertex
+0 and cannot reverse the chain.  From there it must follow each step's
+FK name, which names one schema edge because the schema rejects
+duplicate FK names, and the step's orientation, which the edge label
+keeps even for a self loop.  So an isomorphism between two such paths
+makes their walks and attributes equal.
 """
 
 from __future__ import annotations
@@ -84,14 +94,15 @@ def generate_pairwise_mapping_paths(
     """Algorithm 2: build the pairwise mapping path map ``PMPM``.
 
     For each key pair ``(i, j)`` with ``i < j`` the result lists every
-    distinct (up to isomorphism) mapping path of size two that joins an
-    attribute containing sample ``i`` to an attribute containing sample
-    ``j`` within the PMNJ bound.  Entries with no paths are omitted.
+    mapping path of size two that joins an attribute containing sample
+    ``i`` to an attribute containing sample ``j`` within the PMNJ bound;
+    no two are isomorphic (see the module docstring).  Entries with no
+    paths are omitted.
 
     ``explain`` (an :class:`~repro.obs.explain.ExplainRecorder` during a
-    traced search) receives a kept/dominated decision per generated path
-    and the PMNJ frontier: walks truncated at the join bound while
-    unexplored edges remained, i.e. where enumeration provably stopped.
+    traced search) receives a kept decision per generated path and the
+    PMNJ frontier: walks truncated at the join bound while unexplored
+    edges remained, i.e. where enumeration provably stopped.
 
     ``budget`` (a :class:`~repro.resilience.Budget`) is checked once per
     enumerated walk; on exhaustion the map built so far is returned and
@@ -102,8 +113,7 @@ def generate_pairwise_mapping_paths(
     walk_counter = metrics.counter("repro.pairwise.walks")
     path_counter = metrics.counter("repro.pairwise.mapping_paths")
     m = len(location_map.samples)
-    pmpm: PairwiseMappingPathMap = {}
-    dedup: dict[tuple[int, int], dict[object, MappingPath]] = {}
+    buckets: PairwiseMappingPathMap = {}
     walks_seen = 0
     for key_i in range(m):
         for start_relation in location_map.relations_of(key_i):
@@ -119,9 +129,7 @@ def generate_pairwise_mapping_paths(
                         walks_explored=walks_seen,
                         keys_unexplored=m - key_i - 1,
                     )
-                    for key_pair, bucket in sorted(dedup.items()):
-                        pmpm[key_pair] = list(bucket.values())
-                    return pmpm
+                    return dict(sorted(buckets.items()))
                 walks_seen += 1
                 budget.charge()
                 walk_counter.inc()
@@ -134,25 +142,13 @@ def generate_pairwise_mapping_paths(
                 for key_j in range(key_i + 1, m):
                     if not location_map.attributes_in_relation(key_j, walk.end):
                         continue
-                    for path in _create_mapping_paths(
-                        walk, location_map, key_i, key_j
-                    ):
-                        bucket = dedup.setdefault((key_i, key_j), {})
-                        signature = path.signature()
-                        if signature not in bucket:
-                            bucket[signature] = path
-                            path_counter.inc()
-                            if explain.enabled:
-                                explain.pairwise_decision(
-                                    (key_i, key_j), path, "kept"
-                                )
-                        elif explain.enabled:
-                            explain.pairwise_decision(
-                                (key_i, key_j), path, "pruned", "dominated"
-                            )
-    for key_pair, bucket in sorted(dedup.items()):
-        pmpm[key_pair] = list(bucket.values())
-    return pmpm
+                    paths = _create_mapping_paths(walk, location_map, key_i, key_j)
+                    buckets.setdefault((key_i, key_j), []).extend(paths)
+                    path_counter.inc(len(paths))
+                    if explain.enabled:
+                        for path in paths:
+                            explain.pairwise_decision((key_i, key_j), path, "kept")
+    return dict(sorted(buckets.items()))
 
 
 def count_pairwise_paths(pmpm: PairwiseMappingPathMap) -> int:

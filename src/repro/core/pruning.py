@@ -80,10 +80,23 @@ def prune_by_attribute(
 
     Candidates that do not project column ``key`` at all are kept (they
     cannot be contradicted by it); complete mappings always project
-    every column, so in the session this case never triggers.
+    every column, so in the session this case never triggers.  Only
+    the full-text attributes the candidates project for ``key`` are
+    probed, once each: the rest could not change the kept list.
     """
     model = model or default_error_model()
-    containing = set(db.attributes_containing(sample, model))
+    projected = {
+        mapping.attribute_of(key)
+        for mapping in candidates
+        if key in mapping.projections
+    }
+    containing = {
+        (relation, attribute)
+        for relation, attribute in projected.intersection(
+            db.schema.text_attribute_pairs()
+        )
+        if db.attribute_contains(relation, attribute, sample, model)
+    }
     kept = []
     for mapping in candidates:
         if key not in mapping.projections:

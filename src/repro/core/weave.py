@@ -35,7 +35,7 @@ the baseline explore exactly the same mapping family.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Hashable, Sequence
+from collections.abc import Callable, Hashable, Mapping, Sequence
 from typing import NamedTuple
 
 from repro.config import TPWConfig
@@ -65,7 +65,7 @@ class _WeaveOutcome(NamedTuple):
 
 
 def _merge_choices(
-    base_tree: JoinTree,
+    base: JoinTree | Mapping[int, Sequence[int]],
     base_anchor: int,
     token_base: Callable[[int], Hashable],
     pair_tokens: Sequence[Hashable],
@@ -73,10 +73,12 @@ def _merge_choices(
 ) -> list[_WeaveOutcome]:
     """Every merge of a pairwise chain onto ``base`` at its anchor.
 
-    ``pair_tokens`` are the chain's vertex tokens in order from the
-    vertex projecting the shared key; the anchors' tokens are known to
-    agree.
+    ``base`` is the base's neighbor lists (vertex → neighbor ids) or
+    its tree.  ``pair_tokens`` are the chain's vertex tokens in order
+    from the vertex projecting the shared key; the anchors' tokens are
+    known to agree.
     """
+    neighbors = _neighbor_ids(base) if isinstance(base, JoinTree) else base
     outcomes: list[_WeaveOutcome] = []
 
     def recurse(position: int, current_base: int, visited: frozenset[int]) -> None:
@@ -87,10 +89,9 @@ def _merge_choices(
             return
         pair_token = pair_tokens[position]
         fusable = [
-            base_edge.other(current_base)
-            for base_edge in base_tree.neighbors(current_base)
-            if base_edge.other(current_base) not in visited
-            and token_base(base_edge.other(current_base)) == pair_token
+            neighbor
+            for neighbor in neighbors[current_base]
+            if neighbor not in visited and token_base(neighbor) == pair_token
         ]
         if exhaustive or not fusable:
             outcomes.append(_WeaveOutcome(current_base, position))
@@ -99,6 +100,15 @@ def _merge_choices(
 
     recurse(1, base_anchor, frozenset((base_anchor,)))
     return outcomes
+
+
+def _neighbor_ids(tree: JoinTree) -> dict[int, list[int]]:
+    """Vertex → its neighbors' ids, in ``tree``'s edge order."""
+    neighbors: dict[int, list[int]] = {vertex: [] for vertex in tree.vertices}
+    for edge in tree.edges:
+        neighbors[edge.u].append(edge.v)
+        neighbors[edge.v].append(edge.u)
+    return neighbors
 
 
 def _build_tree(
@@ -285,26 +295,70 @@ class _Partner:
 class _Base:
     """A level path's signature data, shared by all its weaves.
 
+    ``triples`` is the base's edge-triple set when its labels are
+    distinct (see :mod:`repro.core.canonical`), else ``None``.  A woven
+    outcome's signature is derived from it: fusing all the way relabels
+    the vertex that takes the far projection, and a tail adds its own
+    triples.  Only an outcome with a repeated label, or with a single
+    vertex, is encoded from scratch.
+
     ``signatures`` memoizes woven signatures by what the outcome adds
     to this base: many (pair, fusion) choices add the same projection
     at the same vertex, or the same tail at the same vertex.
     """
 
     __slots__ = (
-        "path", "labels", "adjacency", "centres", "next_id", "tokens", "signatures"
+        "path", "labels", "label_set", "tokens", "neighbors", "incident",
+        "triples", "shape", "next_id", "signatures",
     )
 
     def __init__(self, path: TuplePath) -> None:
         self.path = path
-        self.labels = path.vertex_labels()
-        self.adjacency = tree_adjacency(path.tree)
-        self.centres = tree_centres(self.adjacency)
-        self.next_id = max(path.tree.vertices) + 1
+        labels = self.labels = path.vertex_labels()
         self.tokens = {
             vertex: (relation, path.rows[vertex])
             for vertex, relation in path.tree.vertices.items()
         }
+        self.neighbors = _neighbor_ids(path.tree)
+        # ``(source vertex, fk name, target vertex)`` per edge, and per
+        # vertex for the edges incident to it.
+        edges = []
+        self.incident: dict[int, list[tuple[int, str, int]]] = {
+            vertex: [] for vertex in labels
+        }
+        for edge in path.tree.edges:
+            source = edge.source_vertex
+            directed = (source, edge.fk_name, edge.other(source))
+            edges.append(directed)
+            self.incident[edge.u].append(directed)
+            self.incident[edge.v].append(directed)
+        self.label_set = set(labels.values())
+        self.triples = (
+            frozenset(self._triples(edges))
+            if len(self.label_set) == len(labels)
+            else None
+        )
+        self.shape: tuple | None = None
+        self.next_id = max(path.tree.vertices) + 1
         self.signatures: dict[tuple, Signature] = {}
+
+    def _triples(
+        self,
+        edges: Sequence[tuple[int, str, int]],
+        vertex: int | None = None,
+        label: Hashable = None,
+    ) -> list[tuple[Hashable, str, Hashable]]:
+        """The label triples of ``edges``, with ``vertex`` relabeled
+        ``label`` if given."""
+        labels = self.labels
+        return [
+            (
+                label if source == vertex else labels[source],
+                fk_name,
+                label if target == vertex else labels[target],
+            )
+            for source, fk_name, target in edges
+        ]
 
     def signature_of(self, partner: _Partner, outcome: _WeaveOutcome) -> Signature:
         """The woven path's signature, computed without building it.
@@ -323,24 +377,69 @@ class _Base:
     ) -> Signature:
         """Signature of this base with ``tail`` attached at ``vertex``
         and the far projection on the tail's end (``vertex`` if none)."""
-        labels = dict(self.labels)
         if not tail:
-            relation, row, projected = labels[vertex]
-            projected = tuple(sorted((*projected, (far_key, far_attr))))
-            labels[vertex] = (relation, row, projected)
-            return encode_tree(labels, self.adjacency, self.centres)
-        adjacency = dict(self.adjacency)
+            return self._encode_fused(vertex, far_key, far_attr)
+        if self.triples is not None:
+            # The far key is new, so the tail's end label is fresh; the
+            # labels before it must not repeat one already there.
+            fresh: list[tuple] = []
+            triples = []
+            previous = self.labels[vertex]
+            last = len(tail) - 1
+            for offset, (relation, row, fk_name, orientation) in enumerate(tail):
+                if offset < last:
+                    label = (relation, row, ())
+                    if label in self.label_set or label in fresh:
+                        break
+                    fresh.append(label)
+                else:
+                    label = (relation, row, ((far_key, far_attr),))
+                triples.append(
+                    (previous, fk_name, label)
+                    if orientation == "down"
+                    else (label, fk_name, previous)
+                )
+                previous = label
+            else:
+                return self.triples.union(triples)
+        labels = dict(self.labels)
+        adjacency = {
+            base_vertex: list(neighbors)
+            for base_vertex, neighbors in self._shape()[0].items()
+        }
         previous = vertex
         for offset, (relation, row, fk_name, orientation) in enumerate(tail):
             attached = self.next_id + offset
             labels[attached] = (relation, row, ())
-            adjacency[previous] = [*adjacency[previous], (attached, fk_name, orientation)]
+            adjacency[previous].append((attached, fk_name, orientation))
             adjacency[attached] = [
                 (previous, fk_name, "up" if orientation == "down" else "down")
             ]
             previous = attached
         labels[previous] = (relation, row, ((far_key, far_attr),))
         return encode_tree(labels, adjacency)
+
+    def _encode_fused(self, vertex: int, far_key: int, far_attr: str) -> Signature:
+        """Signature of this base with the far projection on ``vertex``."""
+        relation, row, projected = self.labels[vertex]
+        label = (relation, row, tuple(sorted((*projected, (far_key, far_attr)))))
+        # No other vertex projects the far key, so ``label`` is new.
+        if self.triples is not None and len(self.labels) > 1:
+            incident = self.incident[vertex]
+            return self.triples.difference(self._triples(incident)).union(
+                self._triples(incident, vertex, label)
+            )
+        labels = dict(self.labels)
+        labels[vertex] = label
+        adjacency, centres = self._shape()
+        return encode_tree(labels, adjacency, centres)
+
+    def _shape(self) -> tuple[dict[int, list[tuple[int, str, str]]], list[int]]:
+        """The base's adjacency and centres, built on first use."""
+        if self.shape is None:
+            adjacency = tree_adjacency(self.path.tree)
+            self.shape = (adjacency, tree_centres(adjacency))
+        return self.shape
 
     def build(self, partner: _Partner, outcome: _WeaveOutcome) -> TuplePath:
         """The woven tuple path for ``outcome``."""
@@ -431,7 +530,7 @@ def weave_complete_tuple_paths(
                         # path only for a new signature: most woven
                         # outcomes are duplicates.
                         for outcome in _merge_choices(
-                            base.tree,
+                            prepared.neighbors,
                             vertex,
                             prepared.tokens.__getitem__,
                             partner.tokens,

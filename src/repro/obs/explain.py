@@ -8,9 +8,10 @@ the pipeline phases feed with structured decision records:
 
 * per pairwise mapping path — its generation depth (number of joins),
   its support count, and whether it was kept or pruned, with the prune
-  reason (``zero-support``, ``pmnj``, ``dominated``);
+  reason (``zero-support``, ``pmnj``);
 * per weave level — candidate in/out counts and fuse statistics
-  (how many woven paths collapsed onto an already-kept signature);
+  (how many woven paths were ``dominated``: collapsed onto an
+  already-kept signature);
 * per final mapping — the full score decomposition of Section 4.5.5
   (``match_weight * mean match − join_weight * joins``).
 
@@ -40,9 +41,10 @@ Prune reasons
     reached the horizon with unexplored edges, so any mapping path
     beyond it was never enumerated (Algorithm 3's depth limit).
 ``dominated``
-    The generated path's canonical signature duplicates one already
-    kept — at pairwise generation (isomorphic duplicate) or while
-    weaving (two weave orders producing the same complete path).
+    While weaving, the path's canonical signature duplicates one
+    already kept: two weave orders produced the same tuple path.
+    Pairwise generation never reports it, because its paths are
+    distinct by construction (:mod:`repro.core.pairwise`).
 """
 
 from __future__ import annotations
@@ -94,7 +96,7 @@ class ExplainRecorder:
         decision: str,
         reason: str | None = None,
     ) -> None:
-        """One generated pairwise mapping path: kept, or dominated."""
+        """One generated pairwise mapping path and the decision on it."""
         if len(self._pairwise) >= self.limit:
             self._pairwise_dropped += 1
             return

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.pruning import prune_by_attribute, prune_by_structure
 from repro.core.tpw import TPWEngine
+from repro.relational.database import Database
 from tests.core.test_instantiate import count_probes
 
 
@@ -40,6 +41,58 @@ class TestPruneByAttribute:
 
     def test_empty_candidates(self, running_db):
         assert prune_by_attribute(running_db, [], 0, "x") == []
+
+
+def full_scan_prune(db, candidates, key, sample):
+    """Attribute pruning against every full-text attribute's answer."""
+    containing = set(db.attributes_containing(sample))
+    return [
+        mapping
+        for mapping in candidates
+        if key not in mapping.projections or mapping.attribute_of(key) in containing
+    ]
+
+
+def yahoo_prunes(yahoo_db, task_sets):
+    """``(candidates, key, sample)`` for every cell of the next rows of
+    one m=5 flow per task set, in every column: a value in its own
+    column, as a user types it, or in another column, which drops
+    candidates."""
+    for task_set in task_sets:
+        rows = task_set.task_for_size(5).target_rows(yahoo_db, limit=3)
+        candidates = TPWEngine(yahoo_db).search(rows[0]).mappings
+        for row in rows[1:]:
+            for key in range(len(row)):
+                for sample in row:
+                    yield candidates, key, sample
+
+
+class TestAttributeProbes:
+    def test_kept_equals_full_scan_on_yahoo_flows(self, yahoo_db, task_sets):
+        dropped = 0
+        for candidates, key, sample in yahoo_prunes(yahoo_db, task_sets):
+            kept = prune_by_attribute(yahoo_db, candidates, key, sample)
+            assert kept == full_scan_prune(yahoo_db, candidates, key, sample)
+            dropped += len(candidates) - len(kept)
+        assert dropped > 0
+
+    def test_probes_at_most_the_projected_attributes(
+        self, yahoo_db, task_sets, monkeypatch
+    ):
+        probes = []
+        contains = Database.attribute_contains
+
+        def counting(db, relation, attribute, sample, model=None):
+            probes.append((relation, attribute))
+            return contains(db, relation, attribute, sample, model)
+
+        monkeypatch.setattr(Database, "attribute_contains", counting)
+        for candidates, key, sample in yahoo_prunes(yahoo_db, task_sets):
+            probes.clear()
+            prune_by_attribute(yahoo_db, candidates, key, sample)
+            projected = {mapping.attribute_of(key) for mapping in candidates}
+            assert len(probes) <= len(projected)
+            assert set(probes) <= projected
 
 
 class TestPruneByStructure:
