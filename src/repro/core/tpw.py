@@ -276,12 +276,13 @@ class TPWEngine:
             # The weave would start from an incomplete pairwise map;
             # rank the instantiated pairwise tuple paths directly so the
             # user still sees the best-supported (partial) mappings.
-            dedup: dict[object, TuplePath] = {}
-            for tuple_paths in ptpm.values():
-                for tuple_path in tuple_paths:
-                    dedup.setdefault(tuple_path.signature(), tuple_path)
-            stats.pairwise_tuple_paths = len(dedup)
-            complete = list(dedup.values())
+            # They are distinct by construction, as in the weave.
+            complete = [
+                tuple_path
+                for tuple_paths in ptpm.values()
+                for tuple_path in tuple_paths
+            ]
+            stats.pairwise_tuple_paths = len(complete)
         else:
             with tracer.span("tpw.weave") as span:
                 complete = weave_complete_tuple_paths(

@@ -9,11 +9,19 @@ name fixes its edge; and a self-loop step keeps its orientation.  These
 tests pin that on every bundled schema plus one with a self-loop FK and
 two parallel FKs, and pin the path counts the signature-deduplicating
 generator produced.
+
+The pairwise tuple paths instantiated from them are distinct too, so the
+weave takes them without signing.  Forgetting the rows keeps an
+isomorphism, so tuple paths of non-isomorphic mapping paths are
+non-isomorphic; and a chain whose ends project different keys has no
+non-trivial automorphism, so one mapping path's distinct row bindings
+give non-isomorphic tuple paths.
 """
 
 import pytest
 
 from repro.config import TPWConfig
+from repro.core.instantiate import create_pairwise_tuple_paths
 from repro.core.location import build_location_map
 from repro.core.pairwise import count_pairwise_paths, generate_pairwise_mapping_paths
 from repro.datasets.running_example import build_running_example
@@ -28,6 +36,8 @@ from repro.relational.schema import (
 )
 from repro.relational.types import DataType
 from repro.text.errors import CaseTokenModel
+
+from tests.core.frozen_weave import frozen_tuple_signature
 
 MODEL = CaseTokenModel()
 
@@ -135,3 +145,20 @@ def test_pairwise_paths_distinct_by_construction(cases, case, pmnj, allow_backtr
         signatures = [path.signature() for path in paths]
         assert len(set(signatures)) == len(signatures)
     assert count_pairwise_paths(pmpm) == EXPECTED_COUNTS[case][(pmnj, allow_backtrack)]
+
+
+@pytest.mark.parametrize("case", sorted(EXPECTED_COUNTS))
+def test_pairwise_tuple_paths_distinct_by_construction(cases, case):
+    """The weave takes pairwise tuple paths unsigned: distinct mapping
+    paths, and distinct rows within one, never instantiate two
+    isomorphic tuple paths."""
+    db, samples = cases[case]
+    config = TPWConfig()
+    location_map = build_location_map(db, samples, MODEL)
+    pmpm = generate_pairwise_mapping_paths(SchemaGraph(db.schema), location_map, config)
+    ptpm, _valid = create_pairwise_tuple_paths(db, pmpm, samples, MODEL, config)
+    signatures = [
+        frozen_tuple_signature(path) for paths in ptpm.values() for path in paths
+    ]
+    assert signatures
+    assert len(set(signatures)) == len(signatures)

@@ -220,14 +220,6 @@ class TestWeaveCompleteLevels:
         assert len(complete) == 1
         assert complete[0].keys == frozenset({0, 1})
 
-    def test_duplicates_removed(self):
-        # Register the same pairwise path twice; dedup collapses it.
-        stats = SearchStats()
-        ptpm = {(0, 1): [base_path(), base_path()]}
-        complete = weave_complete_tuple_paths(ptpm, 2, TPWConfig(), stats)
-        assert len(complete) == 1
-        assert stats.pairwise_tuple_paths == 1
-
     def make_wide_ptpm(self):
         """A PTPM whose level 3 holds two distinct woven paths."""
         pair_12_tree = chain_tree(
