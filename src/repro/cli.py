@@ -23,9 +23,9 @@ Subcommands
     for runtime failures (port already bound), 0 on clean shutdown.
 ``top``
     Live terminal dashboard for a running service: polls ``/metrics``
-    and ``/healthz``, renders request rates, latency quantiles, SLO
-    burn rates, worker occupancy and admission shedding.  ``--once``
-    prints a single frame (scripts, CI smoke).
+    and ``/healthz``, renders request rates, latency quantiles, worker
+    occupancy and admission shedding.  ``--once`` prints a single frame
+    (scripts, CI smoke).
 ``datasets``
     Print the generated datasets' schema/size summaries.
 ``study``
@@ -336,9 +336,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             search_deadline_s=args.search_deadline,
             drain_timeout_s=args.drain_timeout,
             shed_factor=args.shed_factor,
-            slo_latency_s=args.slo_latency,
-            slo_availability_target=args.slo_availability_target,
-            slo_latency_target=args.slo_latency_target,
             profile_hz=args.profile_hz,
             recorder_capacity=args.recorder_capacity,
             slow_request_s=args.slow_request,
@@ -572,23 +569,6 @@ def _render_top_frame(
             f"shed {admission.get('shed', 0)}"
         )
 
-    slo = metrics_body.get("slo") or {}
-    if slo:
-        lines.append("slo burn rates (burn > 1 eats budget):")
-        for objective, detail in sorted(slo.items()):
-            windows = detail.get("windows", {})
-            cells = "  ".join(
-                f"{window}={info['burn_rate']:.2f}"
-                for window, info in sorted(
-                    windows.items(), key=lambda item: len(item[0])
-                )
-            )
-            flag = "  ALERT" if detail.get("alerting") else ""
-            lines.append(
-                f"  {objective} (target {detail['target']:g}): "
-                f"{cells}{flag}"
-            )
-
     if by_route:
         lines.append("routes:")
         for route, count in sorted(
@@ -742,21 +722,6 @@ def _add_service_flags(parser: argparse.ArgumentParser) -> None:
              "exceeds FACTOR x the request deadline (0 = off)",
     )
     parser.add_argument(
-        "--slo-latency", type=float, default=0.25, metavar="SECONDS",
-        help="latency SLO bound; slower requests burn the latency "
-             "error budget",
-    )
-    parser.add_argument(
-        "--slo-availability-target", type=float, default=0.99,
-        metavar="FRACTION",
-        help="promised fraction of requests that do not 5xx",
-    )
-    parser.add_argument(
-        "--slo-latency-target", type=float, default=0.95,
-        metavar="FRACTION",
-        help="promised fraction of requests within --slo-latency",
-    )
-    parser.add_argument(
         "--profile-hz", type=float, default=97.0, metavar="HZ",
         help="sampling-profiler frequency for GET /debug/profile "
              "(0 = off; 97 avoids aliasing with 10/100 Hz work)",
@@ -767,9 +732,9 @@ def _add_service_flags(parser: argparse.ArgumentParser) -> None:
              "(0 = off)",
     )
     parser.add_argument(
-        "--slow-request", type=float, default=None, metavar="SECONDS",
+        "--slow-request", type=float, default=0.25, metavar="SECONDS",
         help="auto-pin requests slower than this in the flight "
-             "recorder (default: --slo-latency)",
+             "recorder (default: %(default)s)",
     )
     parser.add_argument(
         "--trace-roots", type=int, default=256, metavar="N",
@@ -1034,8 +999,8 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Poll GET /metrics and GET /healthz of a running "
             "'mweaver serve' and render request rates, latency "
-            "quantiles, SLO burn rates, worker occupancy and admission "
-            "shedding. --once prints a single frame and exits."
+            "quantiles, worker occupancy and admission shedding. --once "
+            "prints a single frame and exits."
         ),
     )
     top.add_argument(

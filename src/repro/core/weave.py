@@ -604,7 +604,7 @@ def weave_complete_tuple_paths(
     ]
     stats.pairwise_tuple_paths = len(pairwise)
     if explain.enabled:
-        explain.weave_entry(len(pairwise), len(pairwise))
+        explain.weave_entry(len(pairwise))
 
     # Index the pairwise paths by (key, tuple, attribute) so the inner
     # loop only sees weavable partners.

@@ -14,8 +14,7 @@ plus :mod:`repro.obs.export` for JSON-lines and human-readable output,
 :mod:`repro.obs.explain` for per-search decision provenance (prune
 reasons, weave fuse statistics, score decompositions) riding the span
 tree, and the operations layer: :mod:`repro.obs.prometheus` (text
-exposition), :mod:`repro.obs.slo` (burn-rate objectives),
-:mod:`repro.obs.profiler` (sampling profiler) and
+exposition), :mod:`repro.obs.profiler` (sampling profiler) and
 :mod:`repro.obs.recorder` (request flight recorder).
 
 Everything is **off by default** and zero-cost-when-disabled: the
@@ -72,7 +71,6 @@ from repro.obs.prometheus import (
     render_exposition,
 )
 from repro.obs.recorder import FlightRecorder, RequestRecord
-from repro.obs.slo import Objective, SloTracker, default_objectives
 from repro.obs.tracer import (
     NullTracer,
     Span,
@@ -127,9 +125,6 @@ __all__ = [
     "render_exposition",
     "parse_exposition",
     "ExpositionError",
-    "Objective",
-    "SloTracker",
-    "default_objectives",
     "SamplingProfiler",
     "FlightRecorder",
     "RequestRecord",

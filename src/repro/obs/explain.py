@@ -162,16 +162,15 @@ class ExplainRecorder:
 
     # -- weaving (Algorithms 5–6) ---------------------------------------
 
-    def weave_entry(self, pairwise_in: int, deduped: int) -> None:
-        """The entry dedup: pairwise tuple paths in vs. distinct kept."""
-        self._weave_entry = {
-            "pairwise_in": pairwise_in,
-            "pairwise_deduped": deduped,
-            "dominated": pairwise_in - deduped,
-        }
+    def weave_entry(self, pairwise_in: int) -> None:
+        """The weave's entry: how many pairwise tuple paths it starts from.
+
+        They are distinct by construction, so none is dominated here.
+        """
+        self._weave_entry = {"pairwise_in": pairwise_in}
 
     def annotate_weave(self, span: "Span") -> None:
-        """Attach the entry-dedup fuse statistics to ``tpw.weave``."""
+        """Attach the entry count to ``tpw.weave``."""
         if self._weave_entry is not None:
             span.set("fuse", self._weave_entry)
 
@@ -319,7 +318,7 @@ class SearchExplanation:
     pmnj_frontier: list[dict[str, Any]] = field(default_factory=list)
     #: Total PMNJ-truncated walks (the frontier list is capped).
     pmnj_frontier_total: int = 0
-    #: Weave fuse statistics: entry dedup first, then one per level.
+    #: Weave fuse statistics: the entry count first, then one per level.
     levels: list[dict[str, Any]] = field(default_factory=list)
     #: Score decompositions, best rank first.
     scores: list[dict[str, Any]] = field(default_factory=list)
@@ -517,12 +516,10 @@ class SearchExplanation:
                         f"woven={level['woven']} kept={level['kept']} "
                         f"dominated={level['dominated']}"
                     )
-                else:  # the entry dedup pseudo-level
+                else:  # the entry pseudo-level
                     lines.append(
                         f"  level {level['level']} (pairwise): "
-                        f"in={level['pairwise_in']} "
-                        f"kept={level['pairwise_deduped']} "
-                        f"dominated={level['dominated']}"
+                        f"in={level['pairwise_in']}"
                     )
         if self.scores:
             lines.append("")
@@ -605,7 +602,7 @@ class SearchExplanation:
                             level.get("level", ""),
                             level.get("bases_in", level.get("pairwise_in", "")),
                             level.get("woven", ""),
-                            level.get("kept", level.get("pairwise_deduped", "")),
+                            level.get("kept", ""),
                             level.get("dominated", ""),
                         ]
                         for level in self.levels

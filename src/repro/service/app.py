@@ -47,11 +47,11 @@ appended to a JSONL journal and replayed on startup, restoring live
 sessions (same ids, same grids) across a crash or restart.
 
 Operational observability: on top of the front end's RED metrics
-(rate/errors by route+status, duration histograms per route), every
-request is recorded against the configured SLOs (multi-window burn
-rates — see :mod:`repro.obs.slo`), and — when tracing is on — filed in the flight
-recorder with its full stitched span tree, retrievable via
-``/debug/requests/{id}`` and tagged with the ``X-Request-Id`` response
+(rate/errors by route+status, duration histograms per route; SLO burn
+rates are recording rules over them, see docs/observability.md), every
+request is filed in the flight recorder — with its full stitched span
+tree when tracing is on — retrievable via ``/debug/requests/{id}`` and
+tagged with the ``X-Request-Id`` response
 header.  ``GET /metrics?format=prometheus`` serves the whole registry
 as text exposition, with the formerly ``/healthz``-only state (admission
 estimate, cache hit rates, pool occupancy) folded in as gauges on every
@@ -69,7 +69,6 @@ from repro.exceptions import SessionError, UnknownSessionError
 from repro.obs import get_logger, get_metrics, get_tracer
 from repro.obs.profiler import SamplingProfiler
 from repro.obs.recorder import FlightRecorder
-from repro.obs.slo import SloTracker, default_objectives
 from repro.resilience import NULL_BUDGET, Budget, SessionJournal, replay_journal
 from repro.resilience.journal import grid_digest
 from repro.service.admission import AdmissionController
@@ -134,15 +133,10 @@ class ServiceApp(FrontEnd):
         self.recovered_sessions = 0
         if self.journal is not None:
             self._recover_sessions()
-        self.slo = SloTracker(default_objectives(
-            latency_s=self.config.slo_latency_s,
-            availability=self.config.slo_availability_target,
-            latency_target=self.config.slo_latency_target,
-        ))
         self.recorder = (
             FlightRecorder(
                 self.config.recorder_capacity,
-                slow_s=self.config.effective_slow_request_s,
+                slow_s=self.config.slow_request_s,
             )
             if self.config.recorder_capacity
             else None
@@ -257,9 +251,8 @@ class ServiceApp(FrontEnd):
     ) -> Response:
         """Route one request; never raises — failures become statuses.
 
-        The shared frame serves it; on top, the service records it
-        against its SLOs, files it in the flight recorder and tags the
-        response with ``X-Request-Id``.
+        The shared frame serves it; on top, the service files it in the
+        flight recorder and tags the response with ``X-Request-Id``.
         """
         request_id = self.recorder.next_id() if self.recorder else None
         epoch = time.time()
@@ -267,7 +260,6 @@ class ServiceApp(FrontEnd):
         (status, payload, headers), route, elapsed, span = self._frame(
             method, path, query, body, **attributes
         )
-        self.slo.record(error=status >= 500, duration_s=elapsed)
         if self.recorder is not None:
             reasons = []
             if isinstance(payload, dict) and payload.get("degraded"):
@@ -607,7 +599,6 @@ class ServiceApp(FrontEnd):
             "search_deadline_s": self.config.effective_search_deadline_s,
             "admission": self.admission.snapshot(),
             "pool": self.pool.snapshot(),
-            "slo": self.slo.burn_rates(),
             "recorder": (
                 self.recorder.stats() if self.recorder is not None else None
             ),
@@ -623,9 +614,9 @@ class ServiceApp(FrontEnd):
         """Fold live operational state into the metrics registry.
 
         Runs on every ``/metrics`` scrape so one scrape sees the whole
-        picture: the admission estimate, cache hit rates, session/journal/pool occupancy and SLO burn
-        rates that previously lived only in ``/healthz`` JSON all
-        become ordinary gauges here.
+        picture: the admission estimate, cache hit rates and
+        session/journal/pool occupancy that previously lived only in
+        ``/healthz`` JSON all become ordinary gauges here.
         """
         metrics = get_metrics()
         if not metrics.enabled:
@@ -660,7 +651,6 @@ class ServiceApp(FrontEnd):
             metrics.gauge("repro.recorder.interesting").set(
                 recorder["interesting"]
             )
-        self.slo.publish(metrics)
 
     def _metrics_summary(self) -> dict[str, Any]:
         cache_stats = (
@@ -673,7 +663,6 @@ class ServiceApp(FrontEnd):
                 "sessions_evicted": self.sessions.evicted,
                 "location_cache": cache_stats,
             },
-            "slo": self.slo.burn_rates(),
         }
 
     def debug_profile(self, query: dict[str, str] | None = None) -> Response:

@@ -71,13 +71,6 @@ class ServiceConfig:
     #: request_timeout_s`` — fail fast instead of timing out late.
     #: 0 disables shedding (queue-full 429s still apply).
     shed_factor: float = 1.0
-    #: SLO: latency objective bound in seconds (requests slower than
-    #: this count against the latency error budget).
-    slo_latency_s: float = 0.25
-    #: SLO: promised fraction of requests that do not 5xx.
-    slo_availability_target: float = 0.99
-    #: SLO: promised fraction of requests within ``slo_latency_s``.
-    slo_latency_target: float = 0.95
     #: Sampling-profiler frequency in Hz; 0 disables the profiler (the
     #: library default — ``mweaver serve`` turns it on at ~97 Hz).
     profile_hz: float = 0.0
@@ -85,8 +78,9 @@ class ServiceConfig:
     #: disables the recorder and the /debug/requests endpoints.
     recorder_capacity: int = 128
     #: Requests slower than this are auto-pinned by the flight recorder
-    #: as "slow".  ``None`` derives the SLO latency bound.
-    slow_request_s: float | None = None
+    #: as "slow".  The default is a ``LATENCY_BUCKETS`` bound, so the
+    #: request histograms count the same requests as slow.
+    slow_request_s: float = 0.25
     #: Shard mode (``mweaver shard``): expose the cluster-internal
     #: surface — ``POST /admin/sessions/{id}/restore`` (coordinator
     #: ships a session's journaled grid here on failover) and
@@ -101,13 +95,6 @@ class ServiceConfig:
         if self.search_deadline_s is None:
             return 0.8 * self.request_timeout_s
         return self.search_deadline_s
-
-    @property
-    def effective_slow_request_s(self) -> float:
-        """The flight recorder's slow-request pin threshold."""
-        if self.slow_request_s is None:
-            return self.slo_latency_s
-        return self.slow_request_s
 
     def validate(self) -> "ServiceConfig":
         """Raise :class:`ServiceConfigError` on any bad knob; return self."""
@@ -163,14 +150,6 @@ class ServiceConfig:
             raise ServiceConfigError(
                 "shed_factor must be >= 0 (0 disables shedding)"
             )
-        if self.slo_latency_s <= 0:
-            raise ServiceConfigError("slo_latency_s must be positive")
-        for name in ("slo_availability_target", "slo_latency_target"):
-            target = getattr(self, name)
-            if not 0.0 < target < 1.0:
-                raise ServiceConfigError(
-                    f"{name} must be in (0, 1), got {target}"
-                )
         if self.profile_hz < 0:
             raise ServiceConfigError(
                 "profile_hz must be >= 0 (0 disables the profiler)"
@@ -179,6 +158,6 @@ class ServiceConfig:
             raise ServiceConfigError(
                 "recorder_capacity must be >= 0 (0 disables the recorder)"
             )
-        if self.slow_request_s is not None and self.slow_request_s <= 0:
+        if self.slow_request_s <= 0:
             raise ServiceConfigError("slow_request_s must be positive")
         return self

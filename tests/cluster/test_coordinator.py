@@ -546,3 +546,44 @@ class TestDrainAndHealth:
             '/sessions/{id}/cells"} 4'
         ) in text
         assert headers["Content-Type"].startswith("text/plain")
+
+    def test_metrics_endpoint_counts_statuses_beside_latency_buckets(
+        self, make_cluster, monkeypatch
+    ):
+        """The coordinator exports what the burn-rate rules read.
+
+        Clients talk to the coordinator, so the documented availability
+        and latency recording rules run over its ``repro_cluster_*``
+        series: requests by status and the global ``le="0.25"`` bucket.
+        """
+        import repro.obs as obs
+        from repro.obs.prometheus import parse_exposition
+
+        def boom(*_args):
+            raise RuntimeError("boom")
+
+        with obs.scoped(trace=False):
+            coordinator, _apps, _clients = make_cluster()
+            status, _, _ = coordinator.handle(
+                "GET", "/sessions/sXXXX", {}, None
+            )
+            assert status == 404
+            monkeypatch.setattr(coordinator, "_dispatch", boom)
+            status, _, _ = coordinator.handle("GET", "/sessions", {}, None)
+            assert status == 500
+            monkeypatch.undo()
+            status, text, _ = coordinator.handle(
+                "GET", "/metrics", {"format": "prometheus"}, None
+            )
+        assert status == 200
+        parsed = parse_exposition(text)
+        statuses = {
+            (sample["labels"]["route"], sample["labels"]["status"])
+            for sample in parsed["repro_cluster_requests_total"]
+        }
+        assert ("GET /sessions/{id}", "404") in statuses
+        assert ("GET /sessions", "500") in statuses
+        assert any(
+            sample["labels"] == {"le": "0.25"} and sample["value"] >= 2
+            for sample in parsed["repro_cluster_request_seconds_bucket"]
+        )

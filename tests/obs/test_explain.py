@@ -60,7 +60,8 @@ class TestSearchExplanation:
     def test_weave_fuse_statistics(self, full_search):
         explanation = SearchExplanation.from_span(full_search.trace)
         assert explanation.levels, "multi-column search must report levels"
-        for level in explanation.levels:
+        assert "dominated" not in explanation.levels[0]  # the entry count
+        for level in explanation.levels[1:]:
             assert level["dominated"] >= 0
         # The 4-column running-example search weaves the same complete
         # path through several pair orders: domination must fire.

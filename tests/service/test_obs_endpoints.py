@@ -1,4 +1,4 @@
-"""The ops surface: /metrics exposition, SLO reporting, /debug routes.
+"""The ops surface: /metrics exposition, /healthz obs state, /debug routes.
 
 Everything here drives :meth:`ServiceApp.handle` directly (no sockets)
 inside ``obs.scoped()`` so the shared tracer/metrics handles are live
@@ -16,14 +16,12 @@ from tests.service.conftest import FLOW_CELLS, run_flow
 
 
 class TestMetricsJson:
-    def test_json_body_carries_slo_and_snapshot(self, app):
+    def test_json_body_carries_service_and_snapshot(self, app):
         with obs.scoped():
             run_flow(app)
             status, body, _ = app.handle("GET", "/metrics", {}, None)
         assert status == 200
-        assert set(body) == {"service", "slo", "metrics"}
-        assert "availability" in body["slo"]
-        assert "latency" in body["slo"]
+        assert set(body) == {"service", "metrics"}
         counters = body["metrics"]["counters"]
         assert any(
             key.startswith("repro.service.requests{") for key in counters
@@ -79,24 +77,38 @@ class TestPrometheusExposition:
         ):
             assert name in parsed, name
 
-    def test_slo_gauges_are_scrapable(self, app):
+    def test_server_errors_are_counted_by_status(
+        self, make_app, monkeypatch
+    ):
+        """The series the documented burn-rate recording rules read.
+
+        Availability divides the ``status=~"5.."`` requests by all of
+        them, so a 5xx and a 404 must land under their own status; the
+        latency rule reads the global histogram's ``le="0.25"`` bucket.
+        """
+        app = make_app()
+
+        def boom(*_args):
+            raise RuntimeError("boom")
+
         with obs.scoped():
-            run_flow(app)
+            status, _, _ = app.handle("GET", "/sessions/sXXXX", {}, None)
+            assert status == 404
+            monkeypatch.setattr(app, "_dispatch", boom)
+            status, _, _ = app.handle("GET", "/sessions", {}, None)
+            assert status == 500
+            monkeypatch.undo()
             parsed = self.scrape(app)
-        pairs = {
-            (
-                sample["labels"]["objective"],
-                sample["labels"]["window"],
-            )
-            for sample in parsed["repro_slo_burn_rate"]
+        statuses = {
+            (sample["labels"]["route"], sample["labels"]["status"])
+            for sample in parsed["repro_service_requests_total"]
         }
-        assert ("availability", "300s") in pairs
-        assert ("latency", "21600s") in pairs
-        alerting = {
-            sample["labels"]["objective"]: sample["value"]
-            for sample in parsed["repro_slo_alerting"]
-        }
-        assert alerting == {"availability": 0.0, "latency": 0.0}
+        assert ("GET /sessions/{id}", "404") in statuses
+        assert ("GET /sessions", "500") in statuses
+        assert any(
+            sample["labels"] == {"le": "0.25"} and sample["value"] >= 2
+            for sample in parsed["repro_service_request_seconds_bucket"]
+        )
 
     def test_concurrent_scrapes_all_parse(self, app):
         """Scrapes racing live traffic never see a torn exposition."""
@@ -129,27 +141,14 @@ class TestPrometheusExposition:
         assert errors == []
 
 
-class TestSloInHealthz:
-    def test_healthz_reports_burn_rates_and_obs_state(self, app):
+class TestObsInHealthz:
+    def test_healthz_reports_recorder_and_profiler_state(self, app):
         with obs.scoped():
             run_flow(app)
             status, body, _ = app.handle("GET", "/healthz", {}, None)
         assert status == 200
-        slo = body["slo"]
-        assert slo["availability"]["alerting"] is False
-        assert "300s" in slo["availability"]["windows"]
         assert body["recorder"]["recorded"] > 0
         assert body["profiler"] is None  # profile_hz defaults to 0
-
-    def test_server_errors_burn_the_availability_budget(self, make_app):
-        app = make_app()
-        with obs.scoped():
-            # An unknown session 404s — client error, not budget burn.
-            app.handle("GET", "/sessions/sXXXX", {}, None)
-            _, body, _ = app.handle("GET", "/healthz", {}, None)
-            window = body["slo"]["availability"]["windows"]["300s"]
-            assert window["bad"] == 0
-            assert window["good"] >= 1
 
 
 class TestDebugProfile:
