@@ -82,7 +82,6 @@ def create_pairwise_tuple_paths(
     """
     tracer = tracer or get_tracer()
     metrics = get_metrics()
-    query_counter = metrics.counter("repro.instantiate.queries")
     invalid_counter = metrics.counter("repro.instantiate.pruned_mapping_paths")
     ptpm: dict[tuple[int, int], list[TuplePath]] = {}
     valid_mapping_paths = 0
@@ -109,10 +108,10 @@ def create_pairwise_tuple_paths(
                     span.set("tuple_paths", len(collected))
                     if collected:
                         ptpm[key_pair] = collected
+                    metrics.counter("repro.instantiate.queries").inc(queried)
                     return ptpm, valid_mapping_paths
                 queried += 1
                 budget.charge()
-                query_counter.inc()
                 tuple_paths = instantiate_mapping_path(
                     db,
                     mapping_path,
@@ -134,4 +133,5 @@ def create_pairwise_tuple_paths(
             explain.annotate_instantiate_pair(span)
         if collected:
             ptpm[key_pair] = collected
+    metrics.counter("repro.instantiate.queries").inc(queried)
     return ptpm, valid_mapping_paths

@@ -18,18 +18,43 @@ FK name, which names one schema edge because the schema rejects
 duplicate FK names, and the step's orientation, which the edge label
 keeps even for a self loop.  So an isomorphism between two such paths
 makes their walks and attributes equal.
+
+Everything here except assembling the buckets is schema-only: the walks
+from a start relation under ``(PMNJ, allow_backtrack)``, each walk's join
+tree and whether the bound truncated it, and the mapping paths Algorithm
+4 builds from a walk and the two keys' attribute tuples.  An interactive
+mapper runs many searches, each in its own session and engine, over one
+schema, so that work is memoized per
+:class:`~repro.relational.schema.DatabaseSchema`, in a map weakly keyed
+by the schema so that an entry dies with its schema.  This is sound
+because:
+
+* each memoized value is a function of its key alone.  The schema graph
+  is built deterministically from the schema, and the location map
+  enters only through the attribute tuples that are part of the key;
+* a schema has no mutators after construction;
+* entries are stored fully built, as tuples, and shared read-only.  No
+  code mutates a cached :class:`MappingPath` or its join tree, and the
+  buckets handed to callers are fresh lists.
+
+Two threads that miss on the same key build equal values and the first
+one stored wins (``dict.setdefault`` is atomic), so concurrent sessions
+need no lock.
 """
 
 from __future__ import annotations
+
+import weakref
 
 from repro.config import TPWConfig
 from repro.core.location import LocationMap
 from repro.core.mapping_path import MappingPath
 from repro.graphs.schema_graph import SchemaGraph
-from repro.graphs.walks import Walk, enumerate_walks
+from repro.graphs.walks import Walk, enumerate_walks, extension_edges
 from repro.obs import get_metrics
 from repro.obs.explain import NULL_EXPLAIN
 from repro.relational.query import JoinTree, JoinTreeEdge
+from repro.relational.schema import DatabaseSchema
 from repro.resilience.budget import NULL_BUDGET
 
 #: Pairwise Mapping Path Map: key pair -> mapping paths (paper: PMPM).
@@ -60,28 +85,102 @@ def walk_to_tree(walk: Walk) -> JoinTree:
 
 
 def _create_mapping_paths(
-    walk: Walk,
-    location_map: LocationMap,
+    tree: JoinTree,
     key_i: int,
+    attributes_i: tuple[str, ...],
     key_j: int,
-) -> list[MappingPath]:
-    """Algorithm 4: attribute cross-product over one relation path."""
-    attributes_i = location_map.attributes_in_relation(key_i, walk.start)
-    attributes_j = location_map.attributes_in_relation(key_j, walk.end)
-    if not attributes_i or not attributes_j:
-        return []
-    tree = walk_to_tree(walk)
-    end_vertex = walk.n_joins
-    paths = []
-    for attribute_i in attributes_i:
-        for attribute_j in attributes_j:
-            paths.append(
-                MappingPath(
-                    tree,
-                    {key_i: (0, attribute_i), key_j: (end_vertex, attribute_j)},
-                )
+    attributes_j: tuple[str, ...],
+) -> tuple[MappingPath, ...]:
+    """Algorithm 4: attribute cross-product over one relation path.
+
+    ``tree`` is a walk's join tree; key ``i`` projects at its start
+    (vertex 0) and key ``j`` at its end (the last vertex).
+    """
+    end_vertex = tree.n_joins
+    return tuple(
+        MappingPath(
+            tree, {key_i: (0, attribute_i), key_j: (end_vertex, attribute_j)}
+        )
+        for attribute_i in attributes_i
+        for attribute_j in attributes_j
+    )
+
+
+class _CachedWalk:
+    """One enumerated walk with its schema-only products (see module doc).
+
+    ``truncated`` says whether the PMNJ bound cut the walk off while
+    :func:`~repro.graphs.walks.enumerate_walks` would have extended it.
+    """
+
+    __slots__ = ("walk", "end", "tree", "truncated", "_paths")
+
+    def __init__(
+        self, graph: SchemaGraph, walk: Walk, pmnj: int, allow_backtrack: bool
+    ) -> None:
+        self.walk = walk
+        self.end = walk.end
+        self.tree = walk_to_tree(walk)
+        self.truncated = walk.n_joins >= pmnj and bool(
+            extension_edges(graph, walk, allow_backtrack=allow_backtrack)
+        )
+        self._paths: dict[tuple, tuple[MappingPath, ...]] = {}
+
+    def mapping_paths(
+        self,
+        key_i: int,
+        attributes_i: tuple[str, ...],
+        key_j: int,
+        attributes_j: tuple[str, ...],
+    ) -> tuple[MappingPath, ...]:
+        """The (shared, read-only) mapping paths Algorithm 4 builds here."""
+        key = (key_i, attributes_i, key_j, attributes_j)
+        paths = self._paths.get(key)
+        if paths is None:
+            paths = self._paths.setdefault(
+                key,
+                _create_mapping_paths(
+                    self.tree, key_i, attributes_i, key_j, attributes_j
+                ),
             )
-    return paths
+        return paths
+
+
+class _SchemaMemo:
+    """The memoized walks of one schema, by start, PMNJ and backtracking."""
+
+    def __init__(self) -> None:
+        self._walks: dict[tuple[str, int, bool], tuple[_CachedWalk, ...]] = {}
+
+    def walks(
+        self, graph: SchemaGraph, start: str, pmnj: int, allow_backtrack: bool
+    ) -> tuple[_CachedWalk, ...]:
+        """The walks from ``start``, in :func:`enumerate_walks` order."""
+        key = (start, pmnj, allow_backtrack)
+        walks = self._walks.get(key)
+        if walks is None:
+            walks = self._walks.setdefault(
+                key,
+                tuple(
+                    _CachedWalk(graph, walk, pmnj, allow_backtrack)
+                    for walk in enumerate_walks(
+                        graph, start, pmnj, allow_backtrack=allow_backtrack
+                    )
+                ),
+            )
+        return walks
+
+
+_MEMO: "weakref.WeakKeyDictionary[DatabaseSchema, _SchemaMemo]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _schema_memo(schema: DatabaseSchema) -> _SchemaMemo:
+    memo = _MEMO.get(schema)
+    if memo is None:
+        memo = _MEMO.setdefault(schema, _SchemaMemo())
+    return memo
 
 
 def generate_pairwise_mapping_paths(
@@ -97,57 +196,66 @@ def generate_pairwise_mapping_paths(
     mapping path of size two that joins an attribute containing sample
     ``i`` to an attribute containing sample ``j`` within the PMNJ bound;
     no two are isomorphic (see the module docstring).  Entries with no
-    paths are omitted.
+    paths are omitted.  The walks and mapping paths come from the
+    memo of ``graph.schema`` (see the module docstring); the listed
+    paths are shared with other searches and must not be mutated.
 
     ``explain`` (an :class:`~repro.obs.explain.ExplainRecorder` during a
     traced search) receives a kept decision per generated path and the
-    PMNJ frontier: walks truncated at the join bound while unexplored
-    edges remained, i.e. where enumeration provably stopped.
+    PMNJ frontier: walks truncated at the join bound while
+    :func:`~repro.graphs.walks.enumerate_walks` would have extended
+    them, i.e. where enumeration provably stopped.
 
     ``budget`` (a :class:`~repro.resilience.Budget`) is checked once per
     enumerated walk; on exhaustion the map built so far is returned and
     a ``pairwise`` degradation records how many sample keys were never
     explored (anytime semantics — never raises).
     """
-    metrics = get_metrics()
-    walk_counter = metrics.counter("repro.pairwise.walks")
-    path_counter = metrics.counter("repro.pairwise.mapping_paths")
+    memo = _schema_memo(graph.schema)
     m = len(location_map.samples)
     buckets: PairwiseMappingPathMap = {}
     walks_seen = 0
-    for key_i in range(m):
-        for start_relation in location_map.relations_of(key_i):
-            for walk in enumerate_walks(
-                graph,
-                start_relation,
-                config.pmnj,
-                allow_backtrack=config.allow_backtrack,
-            ):
-                if budget.exhausted():
-                    budget.stop(
-                        "pairwise",
-                        walks_explored=walks_seen,
-                        keys_unexplored=m - key_i - 1,
-                    )
-                    return dict(sorted(buckets.items()))
-                walks_seen += 1
-                budget.charge()
-                walk_counter.inc()
-                if (
-                    explain.enabled
-                    and walk.n_joins >= config.pmnj
-                    and graph.incident_edges(walk.end)
+    paths_made = 0
+    try:
+        for key_i in range(m):
+            for start_relation in location_map.relations_of(key_i):
+                attributes_i = location_map.attributes_in_relation(
+                    key_i, start_relation
+                )
+                for cached in memo.walks(
+                    graph, start_relation, config.pmnj, config.allow_backtrack
                 ):
-                    explain.pmnj_frontier(key_i, walk)
-                for key_j in range(key_i + 1, m):
-                    if not location_map.attributes_in_relation(key_j, walk.end):
-                        continue
-                    paths = _create_mapping_paths(walk, location_map, key_i, key_j)
-                    buckets.setdefault((key_i, key_j), []).extend(paths)
-                    path_counter.inc(len(paths))
-                    if explain.enabled:
-                        for path in paths:
-                            explain.pairwise_decision((key_i, key_j), path, "kept")
+                    if budget.exhausted():
+                        budget.stop(
+                            "pairwise",
+                            walks_explored=walks_seen,
+                            keys_unexplored=m - key_i - 1,
+                        )
+                        return dict(sorted(buckets.items()))
+                    walks_seen += 1
+                    budget.charge()
+                    if explain.enabled and cached.truncated:
+                        explain.pmnj_frontier(key_i, cached.walk)
+                    for key_j in range(key_i + 1, m):
+                        attributes_j = location_map.attributes_in_relation(
+                            key_j, cached.end
+                        )
+                        if not attributes_j:
+                            continue
+                        paths = cached.mapping_paths(
+                            key_i, attributes_i, key_j, attributes_j
+                        )
+                        buckets.setdefault((key_i, key_j), []).extend(paths)
+                        paths_made += len(paths)
+                        if explain.enabled:
+                            for path in paths:
+                                explain.pairwise_decision(
+                                    (key_i, key_j), path, "kept"
+                                )
+    finally:
+        metrics = get_metrics()
+        metrics.counter("repro.pairwise.walks").inc(walks_seen)
+        metrics.counter("repro.pairwise.mapping_paths").inc(paths_made)
     return dict(sorted(buckets.items()))
 
 

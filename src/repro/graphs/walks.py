@@ -68,6 +68,23 @@ class Walk:
         return " ".join(parts)
 
 
+def extension_edges(
+    graph: SchemaGraph, walk: Walk, *, allow_backtrack: bool = False
+) -> tuple[SchemaEdge, ...]:
+    """The edges :func:`enumerate_walks` extends ``walk`` by.
+
+    Every edge at ``walk.end``, except, with ``allow_backtrack=False``,
+    the edge the walk just arrived by when that edge is not a self loop.
+    """
+    edges = graph.incident_edges(walk.end)
+    if allow_backtrack or not walk.steps:
+        return edges
+    last_edge = walk.steps[-1].edge
+    if last_edge.is_self_loop():
+        return edges
+    return tuple(edge for edge in edges if edge is not last_edge)
+
+
 def enumerate_walks(
     graph: SchemaGraph,
     start: str,
@@ -94,15 +111,7 @@ def enumerate_walks(
         yield walk
         if walk.n_joins >= max_joins:
             continue
-        last_edge = walk.steps[-1].edge if walk.steps else None
-        for edge in graph.incident_edges(walk.end):
-            if (
-                not allow_backtrack
-                and last_edge is not None
-                and edge is last_edge
-                and not edge.is_self_loop()
-            ):
-                continue
+        for edge in extension_edges(graph, walk, allow_backtrack=allow_backtrack):
             if edge.is_self_loop():
                 # A self loop can be traversed in either direction.
                 for from_is_source in (True, False):

@@ -132,6 +132,18 @@ class TestPmnjBound:
             for record in explanation.pmnj_frontier
         )
 
+    def test_frontier_omits_walks_with_nothing_left_to_explore(self, running_db):
+        # company and location each have one edge, the one the walk
+        # arrived by, so their PMNJ-2 walks were not truncated; person
+        # also has the write edge, so the direct walk was.
+        sample = ("Avatar", "James Cameron", "Lightstorm Co.", "New Zealand")
+        _result, explanation = explain_search(running_db, sample)
+        walks = {record["walk"] for record in explanation.pmnj_frontier}
+        assert explanation.pmnj_frontier_total == len(walks)
+        assert "movie -direct_mid- direct -direct_pid- person" in walks
+        assert "movie -produce_mid- produce -produce_cid- company" not in walks
+        assert "movie -filmedin_mid- filmedin -filmedin_lid- location" not in walks
+
     def test_raising_the_bound_recovers_the_mapping(self):
         db = build_chain_db()
         result, explanation = explain_search(
