@@ -332,7 +332,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             request_timeout_s=args.request_timeout,
             location_cache_size=args.location_cache,
             default_columns=_names(args.columns),
-            journal_dir=args.journal_dir,
+            journal_dir=getattr(args, "journal_dir", None),
             search_deadline_s=args.search_deadline,
             drain_timeout_s=args.drain_timeout,
             shed_factor=args.shed_factor,
@@ -406,7 +406,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 def _cmd_supervise(args: argparse.Namespace) -> int:
     import signal
     import threading
-    from pathlib import Path
 
     from repro.cluster import ShardProcess, ShardSupervisor
 
@@ -422,14 +421,9 @@ def _cmd_supervise(args: argparse.Namespace) -> int:
     shards: list[ShardProcess] = []
     try:
         for index in range(args.shards):
-            journal_dir = (
-                str(Path(args.journal_dir) / f"shard-{index}")
-                if args.journal_dir else None
-            )
             shard = ShardProcess(
                 datasets=args.datasets,
                 workers=args.workers,
-                journal_dir=journal_dir,
                 name=f"shard-{index}",
             )
             shard.start()
@@ -699,11 +693,6 @@ def _add_service_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--request-timeout", type=float, default=10.0,
                        metavar="SECONDS", help="per-request deadline")
     parser.add_argument(
-        "--journal-dir", default=None, metavar="DIR",
-        help="enable crash-safe session journaling in DIR; on startup "
-             "the journal is replayed and live sessions restored",
-    )
-    parser.add_argument(
         "--search-deadline", type=float, default=None, metavar="SECONDS",
         help="anytime-search budget per cell input (default: 80%% of "
              "--request-timeout; 0 disables the budget)",
@@ -852,6 +841,11 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     _add_service_flags(serve)
+    serve.add_argument(
+        "--journal-dir", default=None, metavar="DIR",
+        help="enable crash-safe session journaling in DIR; on startup "
+             "the journal is replayed and live sessions restored",
+    )
     serve.set_defaults(func=_cmd_serve, shard_mode=False)
 
     shard = sub.add_parser(
@@ -863,7 +857,8 @@ def build_parser() -> argparse.ArgumentParser:
             "a coordinator needs: POST /admin/sessions/{id}/restore "
             "(session failover shipping) and GET /admin/digest "
             "(per-session grid digests for replica repair). Same "
-            "flags as serve."
+            "flags as serve but --journal-dir: a shard keeps no journal, "
+            "the coordinator's journal reseats it."
         ),
     )
     _add_service_flags(shard)
@@ -876,10 +871,10 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Route mapping sessions across replicated mweaver shard "
             "backends: consistent-hash placement with R-way replica "
-            "sets, heartbeat-driven shard health, journal-replay "
-            "session failover and replica repair. Speaks the same "
-            "HTTP surface as serve. Exit codes: 2 on configuration "
-            "errors, 1 on runtime failures."
+            "sets, heartbeat-driven shard health, session failover "
+            "from the coordinator journal and replica repair. Speaks "
+            "the same HTTP surface as serve. Exit codes: 2 on "
+            "configuration errors, 1 on runtime failures."
         ),
     )
     cluster.add_argument("--host", default="127.0.0.1")
@@ -977,11 +972,6 @@ def build_parser() -> argparse.ArgumentParser:
     supervise.add_argument(
         "--workers", type=int, default=4, metavar="N",
         help="worker threads per shard (default: 4)",
-    )
-    supervise.add_argument(
-        "--journal-dir", metavar="DIR",
-        help="per-shard journals under DIR/shard-N (enables shard-side "
-             "crash recovery)",
     )
     supervise.add_argument(
         "--seed", type=int, default=0, metavar="SEED",

@@ -28,7 +28,8 @@ single shard's ``kill -9`` without losing accepted session state:
 The coordinator speaks the same HTTP surface as ``mweaver serve``, so
 existing clients, the load bench and ``mweaver top`` work against it
 unchanged; durability comes from journaling accepted mutations through
-the same :class:`repro.resilience.SessionJournal` the shards use.
+the same :class:`repro.resilience.SessionJournal` ``mweaver serve``
+uses.  The shards keep no journal: the coordinator reseats them.
 """
 
 from __future__ import annotations

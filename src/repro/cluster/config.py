@@ -48,8 +48,9 @@ class ClusterConfig:
     readmit_threshold: int = 2
     #: Per-shard-call timeout (seconds) for proxied requests.
     request_timeout_s: float = 10.0
-    #: Directory for the coordinator's crash-safe session journal
-    #: (``None`` disables journaling — and with it failover replay).
+    #: Directory for the coordinator's crash-safe session journal, the
+    #: cluster's only durable store (``None`` disables journaling: a
+    #: coordinator restart then loses every session).
     journal_dir: str | None = None
     #: ``Retry-After`` hint (seconds) for shard_down/drain refusals.
     retry_after_s: float = 1.0

@@ -14,10 +14,12 @@ Design:
   R-way replica set (:mod:`repro.cluster.ring`).  The first *routable*
   member is the session's primary; the rest are failover targets.
 * **Durability.** The coordinator journals every accepted mutation
-  (create / applied cell / delete) through the PR 4
+  (create / applied cell / delete) through a
   :class:`~repro.resilience.SessionJournal` *before* acknowledging.
   "Accepted" means the shard answered 200 with ``applied`` — the same
-  only-what-was-kept rule the shards themselves journal under.
+  only-what-was-kept rule ``mweaver serve`` journals under.  Shards
+  keep no journal: this one is the cluster's only durable store, and
+  a shard that comes back empty is reseated from it.
 * **Failover.** A session call walks the replica set: transport
   failure counts against the shard's health and moves on; a shard that
   answers 404 for a session the coordinator knows is re-seated by
@@ -56,13 +58,14 @@ from repro.cluster.health import HealthMonitor
 from repro.cluster.reconcile import Reconciler
 from repro.cluster.ring import HashRing
 from repro.obs import get_logger, get_metrics
-from repro.resilience import SessionJournal, replay_journal
+from repro.resilience import JournaledSession, SessionJournal
 from repro.service.frontend import FrontEnd
 from repro.service.validation import (
     BadRequest,
     Response,
     cell_input,
     column_names,
+    irrelevance_policy,
     require,
     served_dataset,
 )
@@ -171,7 +174,9 @@ class CoordinatorApp(FrontEnd):
         self._seq = itertools.count(1)
         self.recovered_sessions = 0
         if self.journal is not None:
-            self._recover_sessions()
+            self.recovered_sessions = self.journal.recover(
+                self.config.datasets, self._recover_session
+            )
         self.failovers = 0
         if start_background:
             self.health.start()
@@ -181,48 +186,28 @@ class CoordinatorApp(FrontEnd):
 
     # -- lifecycle -----------------------------------------------------
 
-    def _recover_sessions(self) -> None:
-        """Rebuild the session table from the coordinator journal.
+    def _recover_session(self, journaled: JournaledSession) -> None:
+        """Re-admit one journaled session to the coordinator's table.
 
         Shards are *not* contacted here: recovery only restores the
         coordinator's authoritative view.  The first call that finds a
         shard answering 404 re-seats the session lazily — so a
         coordinator restart costs nothing until a session is touched.
         """
-        assert self.journal is not None
-        recovered = replay_journal(self.journal.path)
-        for session_id, journaled in recovered.items():
-            if journaled.dataset not in self.config.datasets:
-                _log.warning(
-                    "journal recovery skipped session %s: dataset %r not "
-                    "served", session_id, journaled.dataset,
-                )
-                continue
-            session = ClusterSession(
-                session_id,
-                journaled.dataset,
-                journaled.columns,
-                journaled.on_irrelevant,
-                self.ring.replica_set(session_id),
-            )
-            # Same normalization put_cell applies: stripped values,
-            # empty cells absent (a journaled "" is a deletion).
-            session.cells = {
-                position: value.strip()
-                for position, value in journaled.grid().items()
-                if value.strip()
-            }
-            self._sessions[session_id] = session
-            self.reconciler.mark(session_id)
-        self.recovered_sessions = len(self._sessions)
-        self.journal.compact(
-            {sid: recovered[sid] for sid in self._sessions}
+        session_id = journaled.session_id
+        session = ClusterSession(
+            session_id, journaled.dataset, journaled.columns,
+            journaled.on_irrelevant, self.ring.replica_set(session_id),
         )
-        if recovered:
-            _log.info(
-                "cluster journal recovery: restored %d of %d session(s)",
-                len(self._sessions), len(recovered),
-            )
+        # Same normalization put_cell applies: stripped values, empty
+        # cells absent (a journaled "" is a deletion).
+        session.cells = {
+            position: value.strip()
+            for position, value in journaled.grid().items()
+            if value.strip()
+        }
+        self._sessions[session_id] = session
+        self.reconciler.mark(session_id)
 
     def close(self) -> None:
         """Release threads, clients and the journal (idempotent)."""
@@ -439,7 +424,7 @@ class CoordinatorApp(FrontEnd):
         columns = column_names(
             body.get("columns", list(self.config.default_columns))
         )
-        on_irrelevant = str(body.get("on_irrelevant", "ignore"))
+        on_irrelevant = irrelevance_policy(body)
         with self._sessions_lock:
             if len(self._sessions) >= self.config.max_sessions:
                 raise ServiceOverloadedError(

@@ -236,7 +236,6 @@ class ShardProcess(ServerProcess):
         datasets: str = "running",
         port: int = 0,
         workers: int = 4,
-        journal_dir: str | None = None,
         profile_hz: float = 0.0,
         extra_args: tuple[str, ...] = (),
         name: str = "shard",
@@ -248,10 +247,8 @@ class ShardProcess(ServerProcess):
             "--datasets", datasets,
             "--workers", str(workers),
             "--profile-hz", str(profile_hz),
+            *extra_args,
         ]
-        if journal_dir:
-            args += ["--journal-dir", journal_dir]
-        args += list(extra_args)
         super().__init__(args, name=name)
 
 

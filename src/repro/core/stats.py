@@ -147,32 +147,12 @@ class SearchStats:
 
         ``roots`` is a list of span trees, e.g. ``tracer.finished`` or
         the result of :func:`repro.obs.export.parse_jsonl`; nested
-        ``tpw.search`` spans (sessions, benches) are found too.  With
-        ``search_id`` the matching search is selected; without it the
-        trace must contain exactly one search — a trace with several
-        raises :class:`ValueError` (naming the available ids) instead
-        of silently picking one.
+        ``tpw.search`` spans (sessions, benches) are found too.  The
+        search is selected by :func:`repro.obs.explain.find_search`.
         """
-        from repro.obs.explain import find_searches
+        from repro.obs.explain import find_search
 
-        searches = find_searches(roots)
-        if search_id is not None:
-            searches = [
-                span
-                for span in searches
-                if span.attributes.get("search_id") == search_id
-            ]
-            if not searches:
-                raise ValueError(f"no tpw.search span with id {search_id}")
-        if not searches:
-            raise ValueError("trace contains no tpw.search span")
-        if len(searches) > 1:
-            ids = [span.attributes.get("search_id") for span in searches]
-            raise ValueError(
-                f"trace contains {len(searches)} searches (ids {ids}); "
-                "pass search_id to pick one"
-            )
-        return cls.from_span(searches[0])
+        return cls.from_span(find_search(roots, search_id))
 
     def describe(self) -> str:
         """Multi-line summary for logs."""

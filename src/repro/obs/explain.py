@@ -297,6 +297,36 @@ def find_searches(roots: "list[Span] | tuple[Span, ...]") -> "list[Span]":
     return found
 
 
+def find_search(
+    roots: "list[Span] | tuple[Span, ...]", search_id: int | None = None
+) -> "Span":
+    """The one ``tpw.search`` span in ``roots`` that a report is about.
+
+    With ``search_id`` the matching search is selected; without it the
+    trace must contain exactly one search.  Anything else raises
+    :class:`ValueError` (naming the available ids when there are
+    several) instead of silently picking one.
+    """
+    searches = find_searches(roots)
+    if search_id is not None:
+        searches = [
+            span
+            for span in searches
+            if span.attributes.get("search_id") == search_id
+        ]
+        if not searches:
+            raise ValueError(f"no tpw.search span with id {search_id}")
+    if not searches:
+        raise ValueError("trace contains no tpw.search span")
+    if len(searches) > 1:
+        ids = [span.attributes.get("search_id") for span in searches]
+        raise ValueError(
+            f"trace contains {len(searches)} searches (ids {ids}); "
+            "pass search_id to pick one"
+        )
+    return searches[0]
+
+
 @dataclass
 class SearchExplanation:
     """The provenance report for one sample-driven search.
@@ -386,30 +416,8 @@ class SearchExplanation:
         roots: "list[Span] | tuple[Span, ...]",
         search_id: int | None = None,
     ) -> "SearchExplanation":
-        """Pick one search out of a trace (which may hold several).
-
-        With ``search_id`` the matching search is selected; without it
-        the trace must contain exactly one ``tpw.search`` span, and a
-        :class:`ValueError` names the available ids otherwise.
-        """
-        searches = find_searches(roots)
-        if search_id is not None:
-            searches = [
-                span
-                for span in searches
-                if span.attributes.get("search_id") == search_id
-            ]
-            if not searches:
-                raise ValueError(f"no tpw.search span with id {search_id}")
-        if not searches:
-            raise ValueError("trace contains no tpw.search span")
-        if len(searches) > 1:
-            ids = [span.attributes.get("search_id") for span in searches]
-            raise ValueError(
-                f"trace contains {len(searches)} searches "
-                f"(ids {ids}); pass search_id to pick one"
-            )
-        return cls.from_span(searches[0])
+        """Pick one search out of a trace (see :func:`find_search`)."""
+        return cls.from_span(find_search(roots, search_id))
 
     # -- views ----------------------------------------------------------
 

@@ -19,8 +19,8 @@ flaky backends and process crashes:
 * :mod:`repro.resilience.retry` — retry with jittered exponential
   backoff around transient backend operations.
 * :mod:`repro.resilience.journal` — an append-only per-session journal
-  of cell inputs so ``mweaver serve`` recovers every live session after
-  a crash or restart.
+  of cell inputs so ``mweaver serve`` and the cluster coordinator
+  recover every live session after a crash or restart.
 
 Everything is zero-cost when unused: the default budget is a shared
 no-op, fault points are a single module-global read, and journaling is

@@ -3,11 +3,14 @@
 A session's durable state is exactly its spreadsheet inputs (see
 :mod:`repro.core.persistence`), so the journal is an **append-only
 JSON-lines log of cell inputs** plus session create/delete markers.
-``mweaver serve --journal-dir DIR`` appends one record per applied
-mutation; after a crash (or a plain restart) the new process replays
-the journal and restores every live session — same ids, same grids,
-same candidate state (candidates are recomputed by re-running the real
-search, so a recovered session is indistinguishable from a live one).
+``mweaver serve --journal-dir DIR`` and the cluster coordinator
+(``mweaver cluster --journal-dir DIR``) append one record per applied
+mutation; shards keep none, since the coordinator reseats them.  After
+a crash (or a plain restart) the new process replays the journal
+through :meth:`SessionJournal.recover` and restores every live session —
+same ids, same grids (a served session also recomputes its candidates
+by re-running the real search, so it is indistinguishable from a live
+one).
 
 Record shapes (one JSON object per line)::
 
@@ -37,7 +40,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, Sequence
 
 from repro.obs import get_logger, get_metrics
 from repro.resilience.faults import fault_point
@@ -145,6 +148,37 @@ def replay_journal(path: str | Path) -> dict[str, JournaledSession]:
     return live
 
 
+def _create_record(
+    session_id: str, dataset: str, columns: list[str], on_irrelevant: str
+) -> dict[str, Any]:
+    return {
+        "op": "create",
+        "session_id": session_id,
+        "dataset": dataset,
+        "columns": list(columns),
+        "on_irrelevant": on_irrelevant,
+    }
+
+
+def _cell_record(
+    session_id: str, row: int, column: int, value: str
+) -> dict[str, Any]:
+    return {
+        "op": "cell",
+        "session_id": session_id,
+        "row": row,
+        "column": column,
+        "value": value,
+    }
+
+
+def _line(record: dict[str, Any]) -> str:
+    """``record`` stamped with time and format version, as one line."""
+    record["ts"] = time.time()
+    record["v"] = _FORMAT_VERSION
+    return json.dumps(record, separators=(",", ":")) + "\n"
+
+
 class SessionJournal:
     """Append-only journal of session mutations, one JSON per line.
 
@@ -168,9 +202,7 @@ class SessionJournal:
     # -- the write path ------------------------------------------------
 
     def _append(self, record: dict[str, Any]) -> None:
-        record["ts"] = time.time()
-        record["v"] = _FORMAT_VERSION
-        line = json.dumps(record, separators=(",", ":")) + "\n"
+        line = _line(record)
         with self._lock:
             fault_point("journal.append")
             self._handle.write(line)
@@ -189,25 +221,15 @@ class SessionJournal:
         on_irrelevant: str = "ignore",
     ) -> None:
         """Journal a session creation."""
-        self._append({
-            "op": "create",
-            "session_id": session_id,
-            "dataset": dataset,
-            "columns": list(columns),
-            "on_irrelevant": on_irrelevant,
-        })
+        self._append(
+            _create_record(session_id, dataset, columns, on_irrelevant)
+        )
 
     def record_cell(
         self, session_id: str, row: int, column: int, value: str
     ) -> None:
         """Journal one applied cell input."""
-        self._append({
-            "op": "cell",
-            "session_id": session_id,
-            "row": row,
-            "column": column,
-            "value": value,
-        })
+        self._append(_cell_record(session_id, row, column, value))
 
     def record_delete(self, session_id: str) -> None:
         """Journal a session deletion (explicit or TTL eviction)."""
@@ -228,30 +250,17 @@ class SessionJournal:
             temp = self.path.with_suffix(self.path.suffix + ".compact")
             with temp.open("w", encoding="utf-8") as handle:
                 for session in live.values():
-                    records: list[dict[str, Any]] = [{
-                        "op": "create",
-                        "session_id": session.session_id,
-                        "dataset": session.dataset,
-                        "columns": list(session.columns),
-                        "on_irrelevant": session.on_irrelevant,
-                    }]
+                    handle.write(_line(_create_record(
+                        session.session_id, session.dataset,
+                        session.columns, session.on_irrelevant,
+                    )))
                     # Last-write-wins: superseded cell writes are dropped.
                     for (row, column), value in sorted(
                         session.grid().items()
                     ):
-                        records.append({
-                            "op": "cell",
-                            "session_id": session.session_id,
-                            "row": row,
-                            "column": column,
-                            "value": value,
-                        })
-                    for record in records:
-                        record["ts"] = time.time()
-                        record["v"] = _FORMAT_VERSION
-                        handle.write(
-                            json.dumps(record, separators=(",", ":")) + "\n"
-                        )
+                        handle.write(_line(_cell_record(
+                            session.session_id, row, column, value
+                        )))
                 handle.flush()
                 os.fsync(handle.fileno())
             self._handle.close()
@@ -262,9 +271,48 @@ class SessionJournal:
             len(live), self.path,
         )
 
+    def recover(
+        self,
+        datasets: Sequence[str],
+        rebuild: Callable[[JournaledSession], Any],
+    ) -> int:
+        """Replay the journal through ``rebuild``; return how many recovered.
+
+        The one recovery routine of ``mweaver serve`` and the cluster
+        coordinator: each live session whose dataset is still in
+        ``datasets`` is handed to the app's ``rebuild`` callback.
+        Sessions recover independently — an unserved dataset or a
+        failing rebuild skips that session with a warning instead of
+        failing startup.  The journal is then compacted to exactly the
+        recovered sessions.
+        """
+        replayed = replay_journal(self.path)
+        recovered: dict[str, JournaledSession] = {}
+        for session_id, journaled in replayed.items():
+            try:
+                if journaled.dataset not in datasets:
+                    raise ValueError(
+                        f"dataset {journaled.dataset!r} is not served"
+                    )
+                rebuild(journaled)
+                recovered[session_id] = journaled
+            except Exception as error:  # noqa: BLE001 - isolate per session
+                _log.warning(
+                    "journal recovery skipped session %s: %s",
+                    session_id, error,
+                )
+        self.compact(recovered)
+        if replayed:
+            _log.info(
+                "journal recovery: restored %d of %d session(s) from %s",
+                len(recovered), len(replayed), self.path,
+            )
+        return len(recovered)
+
     def close(self) -> None:
         """Flush and close the underlying file (idempotent)."""
         with self._lock:
             if not self._handle.closed:
                 self._handle.flush()
                 self._handle.close()
+

@@ -9,7 +9,8 @@ from many threads without a loopback socket in the way.
 
 API surface (all JSON)::
 
-    POST   /sessions                  {dataset?, columns?} -> 201 session
+    POST   /sessions                  {dataset?, columns?, on_irrelevant?}
+                                      -> 201 session
     GET    /sessions                  -> {sessions: [...ids...]}
     GET    /sessions/{id}             -> session state
     DELETE /sessions/{id}             -> 204
@@ -42,9 +43,11 @@ machine-readable ``degradation`` summary — so clients get the
 best-effort candidate ranking instead of a 504.  504 remains the answer
 only when the request deadline passes with nothing to return.
 
-Crash safety: with ``journal_dir`` configured, every applied mutation is
-appended to a JSONL journal and replayed on startup, restoring live
-sessions (same ids, same grids) across a crash or restart.
+Crash safety: with ``journal_dir`` configured (``mweaver serve`` only —
+a shard keeps no journal, its coordinator's is the cluster's durable
+store), every applied mutation is appended to a JSONL journal and
+replayed on startup, restoring live sessions (same ids, same grids)
+across a crash or restart.
 
 Operational observability: on top of the front end's RED metrics
 (rate/errors by route+status, duration histograms per route; SLO burn
@@ -65,11 +68,16 @@ from pathlib import Path
 from typing import Any
 
 from repro.core.session import MappingSession
-from repro.exceptions import SessionError, UnknownSessionError
-from repro.obs import get_logger, get_metrics, get_tracer
+from repro.exceptions import UnknownSessionError
+from repro.obs import get_metrics, get_tracer
 from repro.obs.profiler import SamplingProfiler
 from repro.obs.recorder import FlightRecorder
-from repro.resilience import NULL_BUDGET, Budget, SessionJournal, replay_journal
+from repro.resilience import (
+    NULL_BUDGET,
+    Budget,
+    JournaledSession,
+    SessionJournal,
+)
 from repro.resilience.journal import grid_digest
 from repro.service.admission import AdmissionController
 from repro.service.config import ServiceConfig
@@ -82,12 +90,11 @@ from repro.service.validation import (
     as_int,
     cell_input,
     column_names,
+    irrelevance_policy,
     require,
     served_dataset,
 )
 from repro.service.workers import WorkerPool
-
-_log = get_logger(__name__)
 
 class ServiceApp(FrontEnd):
     """One running instance of the mapping service."""
@@ -132,7 +139,12 @@ class ServiceApp(FrontEnd):
         )
         self.recovered_sessions = 0
         if self.journal is not None:
-            self._recover_sessions()
+            self.recovered_sessions = self.journal.recover(
+                self.config.datasets, self._rebuild_session
+            )
+            get_metrics().counter("repro.service.sessions.recovered").inc(
+                self.recovered_sessions
+            )
         self.recorder = (
             FlightRecorder(
                 self.config.recorder_capacity,
@@ -147,72 +159,30 @@ class ServiceApp(FrontEnd):
         self.started_at = time.time()
         self._closed = False
 
-    def _recover_sessions(self) -> None:
-        """Replay the journal and re-admit every live session.
-
-        Each session recovers independently — one bad record set (a
-        dataset no longer served, a full table) skips that session with
-        a warning instead of failing startup.  The journal is compacted
-        afterwards so it holds exactly the restored state.
-        """
-        assert self.journal is not None
-        recovered = replay_journal(self.journal.path)
-        restored: dict[str, Any] = {}
-        for session_id, journaled in recovered.items():
-            try:
-                if journaled.dataset not in self.config.datasets:
-                    raise SessionError(
-                        f"dataset {journaled.dataset!r} is not served"
-                    )
-                self._rebuild_session(
-                    session_id, journaled.dataset, journaled.columns,
-                    journaled.grid(), on_irrelevant=journaled.on_irrelevant,
-                )
-                restored[session_id] = journaled
-            except Exception as error:  # noqa: BLE001 - isolate per session
-                _log.warning(
-                    "journal recovery skipped session %s: %s",
-                    session_id, error,
-                )
-        self.recovered_sessions = len(restored)
-        self.journal.compact(restored)
-        if recovered:
-            _log.info(
-                "journal recovery: restored %d of %d session(s)",
-                len(restored), len(recovered),
-            )
-        get_metrics().counter("repro.service.sessions.recovered").inc(
-            len(restored)
-        )
-
-    def _rebuild_session(
-        self,
-        session_id: str,
-        dataset: str,
-        columns,
-        grid: dict[tuple[int, int], str],
-        *,
-        on_irrelevant: str,
-    ) -> ManagedSession:
-        """Create ``session_id`` afresh and replay ``grid`` into it.
+    def _rebuild_session(self, journaled: JournaledSession) -> ManagedSession:
+        """Create the session afresh and replay its grid into it.
 
         The one rebuild path of journal recovery and shard restores: if
         the replay fails, the half-built session is removed again and
         the error propagates.
         """
+        session_id = journaled.session_id
         factory = self._session_factory(
-            dataset, columns, on_irrelevant=on_irrelevant
+            journaled.dataset, journaled.columns,
+            on_irrelevant=journaled.on_irrelevant,
         )
-        managed = self.sessions.create(dataset, factory, session_id=session_id)
+        managed = self.sessions.create(
+            journaled.dataset, factory, session_id=session_id
+        )
         try:
             with managed.lock:
-                managed.session.load_cells(grid)
+                managed.session.load_cells(journaled.grid())
         except Exception:
             self.sessions.remove(session_id)
             raise
         return managed
 
-    def _session_factory(self, dataset: str, columns, *, on_irrelevant="ignore"):
+    def _session_factory(self, dataset: str, columns, *, on_irrelevant: str):
         """A session constructor for ``dataset``."""
         db = self.registry.get(dataset)
 
@@ -353,7 +323,9 @@ class ServiceApp(FrontEnd):
         columns = column_names(
             body.get("columns", list(self.config.default_columns))
         )
-        factory = self._session_factory(dataset, columns)
+        factory = self._session_factory(
+            dataset, columns, on_irrelevant=irrelevance_policy(body)
+        )
         managed = self.sessions.create(dataset, factory)
         if self.journal is not None:
             self.journal.record_create(
@@ -520,42 +492,23 @@ class ServiceApp(FrontEnd):
             str(require(body, "dataset")), self.config.datasets
         )
         columns = column_names(body.get("columns"))
-        on_irrelevant = str(body.get("on_irrelevant", "ignore"))
+        on_irrelevant = irrelevance_policy(body)
         raw_cells = body.get("cells", [])
-        if not isinstance(raw_cells, (list, tuple)):
+        if not isinstance(raw_cells, (list, tuple)) or not all(
+            isinstance(entry, (list, tuple)) and len(entry) == 3
+            for entry in raw_cells
+        ):
             raise BadRequest("cells must be a list of [row, column, value]")
-        grid: dict[tuple[int, int], str] = {}
-        for entry in raw_cells:
-            if not isinstance(entry, (list, tuple)) or len(entry) != 3:
-                raise BadRequest(
-                    "cells must be a list of [row, column, value]"
-                )
-            row, col, value = entry
-            grid[as_int(row, "cell row"), as_int(col, "cell column")] = (
-                str(value)
-            )
+        cells = [
+            (as_int(row, "cell row"), as_int(col, "cell column"), str(value))
+            for row, col, value in raw_cells
+        ]
         replaced = session_id in self.sessions.ids()
         if replaced:
-            # Eviction hooks fire (journal delete); the create below
-            # re-records the restored state, keeping the shard's own
-            # journal consistent with what is actually live.
             self.sessions.remove(session_id)
-        managed = self._rebuild_session(
-            session_id, dataset, list(columns), grid,
-            on_irrelevant=on_irrelevant,
-        )
-        if self.journal is not None:
-            self.journal.record_create(
-                session_id, dataset,
-                list(managed.session.spreadsheet.columns),
-                on_irrelevant=on_irrelevant,
-            )
-            # Journal what the rebuilt session kept, not what was
-            # shipped — same only-what-was-kept rule as put_cell.
-            with managed.lock:
-                kept = sorted(managed.session.spreadsheet.cells().items())
-            for (row, col), value in kept:
-                self.journal.record_cell(session_id, row, col, value)
+        managed = self._rebuild_session(JournaledSession(
+            session_id, dataset, list(columns), on_irrelevant, cells
+        ))
         get_metrics().counter("repro.service.sessions.restored").inc()
         with managed.lock:
             digest = grid_digest(managed.session.spreadsheet.cells())

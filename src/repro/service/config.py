@@ -86,7 +86,8 @@ class ServiceConfig:
     #: ships a session's journaled grid here on failover) and
     #: ``GET /admin/digest`` (per-session grid digests for repair).
     #: Off by default: a standalone ``mweaver serve`` should not accept
-    #: session overwrites from the network.
+    #: session overwrites from the network.  A shard keeps no journal
+    #: (``journal_dir`` must be ``None``): its coordinator reseats it.
     shard_mode: bool = False
 
     @property
@@ -160,4 +161,9 @@ class ServiceConfig:
             )
         if self.slow_request_s <= 0:
             raise ServiceConfigError("slow_request_s must be positive")
+        if self.shard_mode and self.journal_dir is not None:
+            raise ServiceConfigError(
+                "a shard keeps no journal (journal_dir must be None in "
+                "shard_mode): the coordinator journal reseats it"
+            )
         return self

@@ -93,6 +93,19 @@ def column_names(columns: Any) -> Any:
     return columns
 
 
+def irrelevance_policy(body: dict[str, Any] | None) -> str:
+    """``body["on_irrelevant"]``, ``"ignore"`` when absent.
+
+    The policy for inputs that match no candidate (see
+    :class:`~repro.core.session.MappingSession`): ``"ignore"`` reverts
+    them, ``"apply"`` keeps them.  Anything else is a 400.
+    """
+    policy = (body or {}).get("on_irrelevant", "ignore")
+    if policy not in ("ignore", "apply"):
+        raise BadRequest("on_irrelevant must be 'ignore' or 'apply'")
+    return policy
+
+
 #: ``/sessions/{id}/<action>`` tails either front end serves.
 _SESSION_ACTIONS = frozenset({"cells", "candidates", "explain", "suggest"})
 

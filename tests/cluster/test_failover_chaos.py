@@ -45,7 +45,7 @@ def _call(host, port, method, path, body=None, timeout_s=30.0):
 
 def test_kill9_of_the_primary_loses_zero_accepted_state(tmp_path):
     shards = [
-        ShardProcess(name=f"shard{i}", journal_dir=str(tmp_path / f"s{i}"))
+        ShardProcess(name=f"shard{i}")
         for i in range(3)
     ]
     coordinator = None

@@ -36,6 +36,7 @@ class TestValidate:
             ({"default_columns": ()}, "default_columns"),
             ({"drain_timeout_s": -1.0}, "drain_timeout_s"),
             ({"shed_factor": -0.1}, "shed_factor"),
+            ({"shard_mode": True, "journal_dir": "j"}, "keeps no journal"),
         ],
     )
     def test_bad_knobs_raise(self, overrides, match):

@@ -47,6 +47,17 @@ class TestParser:
         assert args.drain_timeout == 10.0
         assert args.shed_factor == 1.0
 
+    def test_only_serve_and_cluster_take_a_journal_dir(self, capsys):
+        # A shard keeps no journal: the coordinator's journal reseats it.
+        parser = build_parser()
+        assert parser.parse_args(["serve", "--journal-dir", "d"]).journal_dir
+        assert parser.parse_args(["cluster", "--journal-dir", "d"]).journal_dir
+        for command in (["shard"], ["supervise"]):
+            with pytest.raises(SystemExit) as info:
+                main([*command, "--journal-dir", "d"])
+            assert info.value.code == 2
+            assert "--journal-dir" in capsys.readouterr().err
+
     def test_serve_drain_and_shed_flags_parse(self):
         args = build_parser().parse_args([
             "serve", "--drain-timeout", "5", "--shed-factor", "0.5",
