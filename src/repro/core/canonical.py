@@ -32,7 +32,9 @@ The minimum over *every* root gives the same equivalence but costs
 deduplication signs tens of thousands of woven paths in a large search,
 and an all-roots loop there took most of the search time.
 
-Signatures are compared for equality and hashed, never ordered.
+Signatures are compared for equality and hashed; where a total order
+is needed (a deterministic tie-break), :func:`signature_sort_key` gives
+one that, like the signature, ignores vertex numbering.
 
 The encoder takes plain data — a label per vertex and a neighbor list
 per vertex — so the weave can sign a woven outcome before deciding to
@@ -136,3 +138,15 @@ def canonical_signature(
     """
     labels = {vertex: vertex_label(vertex) for vertex in tree.vertices}
     return encode_tree(labels, tree_adjacency(tree))
+
+
+def signature_sort_key(signature: Signature) -> tuple:
+    """A sortable form of ``signature``, invariant under vertex renaming.
+
+    The edge-set form becomes its sorted triples and the AHU tuple stays
+    as it is; a leading tag keeps the two forms from ever comparing
+    with each other.
+    """
+    if isinstance(signature, frozenset):
+        return (0, tuple(sorted(signature)))
+    return (1, signature)

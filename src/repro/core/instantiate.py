@@ -19,7 +19,6 @@ from repro.config import TPWConfig
 from repro.core.mapping_path import MappingPath
 from repro.core.tuple_path import TuplePath
 from repro.obs import get_metrics, get_tracer
-from repro.obs.explain import NULL_EXPLAIN
 from repro.relational.database import Database
 from repro.relational.executor import ProbeMemo, evaluate_tree
 from repro.resilience.budget import NULL_BUDGET
@@ -60,7 +59,6 @@ def create_pairwise_tuple_paths(
     model: ErrorModel,
     config: TPWConfig,
     tracer=None,
-    explain=NULL_EXPLAIN,
     budget=NULL_BUDGET,
 ) -> tuple[dict[tuple[int, int], list[TuplePath]], int]:
     """Build the Pairwise Tuple Path Map (paper: ``PTPM``).
@@ -68,10 +66,10 @@ def create_pairwise_tuple_paths(
     Returns the map plus the count of pairwise mapping paths that
     turned out valid (had at least one supporting tuple path).  Each
     key pair's query batch runs inside a ``tpw.instantiate.pair`` span
-    on ``tracer`` (default: the shared :mod:`repro.obs` handle);
-    ``explain`` receives one decision per mapping path, carrying the
-    support count and the ``zero-support`` prune reason when the query
-    came back empty.
+    on ``tracer`` (default: the shared :mod:`repro.obs` handle), which
+    records one decision per queried mapping path, carrying the support
+    count and the ``zero-support`` prune reason when the query came back
+    empty.
 
     ``budget`` is checked before each instantiation query (the phase's
     expensive unit); on exhaustion the partial map is returned and an
@@ -122,15 +120,23 @@ def create_pairwise_tuple_paths(
                 if tuple_paths:
                     valid_here += 1
                     collected.extend(tuple_paths)
-                if explain.enabled:
-                    explain.instantiate_decision(
-                        key_pair, mapping_path, len(tuple_paths)
+                if tracer.enabled:
+                    support = len(tuple_paths)
+                    span.record(
+                        "decisions",
+                        {
+                            "pair": list(key_pair),
+                            "path": mapping_path.describe(),
+                            "depth": mapping_path.n_joins,
+                            "support": support,
+                            "decision": "kept" if support else "pruned",
+                            "reason": None if support else "zero-support",
+                        },
                     )
             invalid_counter.inc(len(mapping_paths) - valid_here)
             valid_mapping_paths += valid_here
             span.set("valid_mapping_paths", valid_here)
             span.set("tuple_paths", len(collected))
-            explain.annotate_instantiate_pair(span)
         if collected:
             ptpm[key_pair] = collected
     metrics.counter("repro.instantiate.queries").inc(queried)

@@ -51,8 +51,7 @@ from repro.core.location import LocationMap
 from repro.core.mapping_path import MappingPath
 from repro.graphs.schema_graph import SchemaGraph
 from repro.graphs.walks import Walk, enumerate_walks, extension_edges
-from repro.obs import get_metrics
-from repro.obs.explain import NULL_EXPLAIN
+from repro.obs import get_metrics, get_tracer
 from repro.relational.query import JoinTree, JoinTreeEdge
 from repro.relational.schema import DatabaseSchema
 from repro.resilience.budget import NULL_BUDGET
@@ -187,7 +186,6 @@ def generate_pairwise_mapping_paths(
     graph: SchemaGraph,
     location_map: LocationMap,
     config: TPWConfig,
-    explain=NULL_EXPLAIN,
     budget=NULL_BUDGET,
 ) -> PairwiseMappingPathMap:
     """Algorithm 2: build the pairwise mapping path map ``PMPM``.
@@ -200,11 +198,12 @@ def generate_pairwise_mapping_paths(
     memo of ``graph.schema`` (see the module docstring); the listed
     paths are shared with other searches and must not be mutated.
 
-    ``explain`` (an :class:`~repro.obs.explain.ExplainRecorder` during a
-    traced search) receives a kept decision per generated path and the
-    PMNJ frontier: walks truncated at the join bound while
+    With tracing enabled, the open span (``tpw.pairwise`` in a search)
+    records the PMNJ frontier: walks truncated at the join bound while
     :func:`~repro.graphs.walks.enumerate_walks` would have extended
-    them, i.e. where enumeration provably stopped.
+    them, i.e. where enumeration provably stopped.  Per-path decisions
+    are recorded once each path is queried, by
+    :func:`~repro.core.instantiate.create_pairwise_tuple_paths`.
 
     ``budget`` (a :class:`~repro.resilience.Budget`) is checked once per
     enumerated walk; on exhaustion the map built so far is returned and
@@ -212,6 +211,7 @@ def generate_pairwise_mapping_paths(
     explored (anytime semantics — never raises).
     """
     memo = _schema_memo(graph.schema)
+    span = get_tracer().current()
     m = len(location_map.samples)
     buckets: PairwiseMappingPathMap = {}
     walks_seen = 0
@@ -234,8 +234,17 @@ def generate_pairwise_mapping_paths(
                         return dict(sorted(buckets.items()))
                     walks_seen += 1
                     budget.charge()
-                    if explain.enabled and cached.truncated:
-                        explain.pmnj_frontier(key_i, cached.walk)
+                    if span is not None and cached.truncated:
+                        span.add("pmnj_frontier_total")
+                        span.record(
+                            "pmnj_frontier",
+                            {
+                                "key": key_i,
+                                "walk": cached.walk.describe(),
+                                "depth": cached.walk.n_joins,
+                                "reason": "pmnj",
+                            },
+                        )
                     for key_j in range(key_i + 1, m):
                         attributes_j = location_map.attributes_in_relation(
                             key_j, cached.end
@@ -247,11 +256,6 @@ def generate_pairwise_mapping_paths(
                         )
                         buckets.setdefault((key_i, key_j), []).extend(paths)
                         paths_made += len(paths)
-                        if explain.enabled:
-                            for path in paths:
-                                explain.pairwise_decision(
-                                    (key_i, key_j), path, "kept"
-                                )
     finally:
         metrics = get_metrics()
         metrics.counter("repro.pairwise.walks").inc(walks_seen)

@@ -19,7 +19,6 @@ from collections.abc import Mapping, Sequence
 
 from repro.core.mapping_path import MappingPath
 from repro.obs import get_metrics, get_tracer
-from repro.obs.explain import MAX_RECORDS
 from repro.relational.database import Database
 from repro.relational.executor import ProbeMemo, tree_exists
 from repro.text.errors import ErrorModel, default_error_model
@@ -32,10 +31,10 @@ def _record_decisions(
 ) -> None:
     """Count prune outcomes by reason (audit trail for ranking behavior).
 
-    With tracing enabled, additionally attach one decision record per
-    candidate to the innermost open span (``session.prune`` /
-    ``session.replay``), so session traces carry the same per-candidate
-    provenance the search's explain log does.
+    With tracing enabled, additionally record one decision per
+    candidate on the innermost open span (``session.prune`` /
+    ``session.replay``) through :meth:`~repro.obs.Span.record`, the
+    same capped append the search's decisions go through.
     """
     metrics = get_metrics()
     if metrics.enabled:
@@ -45,27 +44,19 @@ def _record_decisions(
         metrics.counter("repro.prune.dropped", reason=reason).inc(
             len(candidates) - len(kept)
         )
-    tracer = get_tracer()
-    if not tracer.enabled:
-        return
-    span = tracer.current()
+    span = get_tracer().current()
     if span is None:
         return
     kept_signatures = {mapping.signature() for mapping in kept}
-    records = span.attributes.setdefault("decisions", [])
     for mapping in candidates:
-        if len(records) >= MAX_RECORDS:
-            span.attributes["decisions_dropped"] = (
-                span.attributes.get("decisions_dropped", 0) + 1
-            )
-            continue
         survived = mapping.signature() in kept_signatures
-        records.append(
+        span.record(
+            "decisions",
             {
                 "path": mapping.describe(),
                 "decision": "kept" if survived else "pruned",
                 "reason": None if survived else reason,
-            }
+            },
         )
 
 

@@ -14,9 +14,10 @@ from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 
 from repro.config import RankingWeights
+from repro.core.canonical import signature_sort_key
 from repro.core.mapping_path import MappingPath
 from repro.core.tuple_path import TuplePath
-from repro.obs.explain import NULL_EXPLAIN
+from repro.obs import get_tracer
 from repro.relational.database import Database
 from repro.resilience.budget import NULL_BUDGET
 from repro.text.errors import ErrorModel
@@ -100,16 +101,18 @@ def rank_mappings(
     samples: Sequence[str],
     model: ErrorModel,
     weights: RankingWeights,
-    explain=NULL_EXPLAIN,
     budget=NULL_BUDGET,
 ) -> list[RankedMapping]:
     """Group complete tuple paths by mapping and rank the mappings.
 
-    The sort is best-score first; ties break toward fewer joins, then a
-    stable textual key, so results are deterministic run to run.
+    The sort is best-score first; ties break toward fewer joins, then
+    the mapping's canonical signature
+    (:func:`~repro.core.canonical.signature_sort_key`), so results are
+    deterministic run to run and two isomorphic mappings rank alike
+    however their vertices are numbered.
 
-    ``explain`` (an :class:`~repro.obs.explain.ExplainRecorder` during a
-    traced search) receives each ranked candidate's score decomposition:
+    With tracing enabled, the open span (``tpw.rank`` in a search)
+    records each ranked candidate's score decomposition:
     ``score = match_weight * mean(match) − join_weight * n_joins``.
 
     ``budget`` is checked once per mapping group before scoring (scores
@@ -119,6 +122,7 @@ def rank_mappings(
     sample columns score against that subset, so degraded partial paths
     rank cleanly.
     """
+    span = get_tracer().current()
     sample_map = dict(enumerate(samples))
     groups: dict[object, tuple[MappingPath, list[TuplePath]]] = {}
     for tuple_path in complete_tuple_paths:
@@ -168,25 +172,29 @@ def rank_mappings(
             tuple_paths=tuple(tuple_paths),
         )
         ranked.append(candidate)
-        if explain.enabled:
+        if span is not None:
             match_means[id(candidate)] = sum(matches) / len(matches)
     ranked.sort(
         key=lambda candidate: (
             -candidate.score,
             candidate.mapping.n_joins,
-            candidate.mapping.describe(),
+            signature_sort_key(candidate.mapping.signature()),
         )
     )
-    if explain.enabled:
+    if span is not None:
         for rank, candidate in enumerate(ranked, start=1):
             match_mean = match_means[id(candidate)]
-            explain.score(
-                rank,
-                candidate.mapping,
-                score=candidate.score,
-                match_mean=match_mean,
-                match_term=weights.match_weight * match_mean,
-                join_term=weights.join_weight * candidate.mapping.n_joins,
-                support=candidate.support,
+            span.record(
+                "scores",
+                {
+                    "rank": rank,
+                    "mapping": candidate.mapping.describe(),
+                    "score": candidate.score,
+                    "match_mean": match_mean,
+                    "match_term": weights.match_weight * match_mean,
+                    "join_term": weights.join_weight * candidate.mapping.n_joins,
+                    "n_joins": candidate.mapping.n_joins,
+                    "support": candidate.support,
+                },
             )
     return ranked

@@ -43,7 +43,6 @@ from repro.core.weave import weave_complete_tuple_paths
 from repro.exceptions import SessionError
 from repro.graphs.schema_graph import SchemaGraph
 from repro.obs import get_logger, get_metrics, get_tracer
-from repro.obs.explain import NULL_EXPLAIN, ExplainRecorder
 from repro.obs.tracer import Span
 from repro.relational.database import Database
 from repro.resilience.budget import NULL_BUDGET
@@ -166,14 +165,11 @@ class TPWEngine:
         tracer = get_tracer()
         stats = SearchStats()
         search_id = next(_search_ids)
-        # The explain recorder rides the tracer: one per traced search,
-        # the shared no-op otherwise (keeps the disabled path free).
-        explain = ExplainRecorder() if tracer.enabled else NULL_EXPLAIN
         with tracer.span(
             "tpw.search", columns=len(samples), search_id=search_id
         ) as root:
             candidates, location_map = self._search_phases(
-                samples, stats, tracer, explain, budget
+                samples, stats, tracer, budget
             )
             root.set("candidates", len(candidates))
             if budget.degraded:
@@ -206,7 +202,6 @@ class TPWEngine:
         samples: tuple[str, ...],
         stats: SearchStats,
         tracer,
-        explain=NULL_EXPLAIN,
         budget=NULL_BUDGET,
     ) -> tuple[list[RankedMapping], LocationMap]:
         """The phase pipeline, each phase inside its span.
@@ -244,25 +239,23 @@ class TPWEngine:
         if len(samples) == 1:
             return (
                 self._search_single_column(
-                    samples, location_map, stats, tracer, explain, budget
+                    samples, location_map, stats, tracer, budget
                 ),
                 location_map,
             )
 
         with tracer.span("tpw.pairwise") as span:
             pmpm = generate_pairwise_mapping_paths(
-                self.graph, location_map, self.config, explain=explain,
-                budget=budget,
+                self.graph, location_map, self.config, budget=budget,
             )
             stats.pairwise_mapping_paths = count_pairwise_paths(pmpm)
             span.set("mapping_paths", stats.pairwise_mapping_paths)
-            explain.annotate_pairwise(span)
         stats.timings["pairwise"] = span.duration
 
         with tracer.span("tpw.instantiate") as span:
             ptpm, valid_pairwise = create_pairwise_tuple_paths(
                 self.db, pmpm, samples, self.model, self.config,
-                tracer=tracer, explain=explain, budget=budget,
+                tracer=tracer, budget=budget,
             )
             stats.pairwise_valid_mapping_paths = valid_pairwise
             span.set("valid_mapping_paths", valid_pairwise)
@@ -287,24 +280,21 @@ class TPWEngine:
             with tracer.span("tpw.weave") as span:
                 complete = weave_complete_tuple_paths(
                     ptpm, len(samples), self.config, stats,
-                    tracer=tracer, explain=explain, budget=budget,
+                    tracer=tracer, budget=budget,
                 )
                 span.set("pairwise_tuple_paths", stats.pairwise_tuple_paths)
                 span.set("complete_tuple_paths", stats.complete_tuple_paths)
-                explain.annotate_weave(span)
             stats.timings["weave"] = span.duration
 
         with tracer.span("tpw.rank") as span:
             candidates = rank_mappings(
                 self.db, complete, samples, self.model, self.config.ranking,
-                explain=explain,
                 # Ranking what survived is part of the anytime contract:
                 # an already-exhausted budget must not empty the answer.
                 budget=NULL_BUDGET if budget.degraded else budget,
             )
             stats.valid_complete_mappings = len(candidates)
             span.set("candidates", len(candidates))
-            explain.annotate_rank(span)
         stats.timings["rank"] = span.duration
         return candidates, location_map
 
@@ -316,7 +306,6 @@ class TPWEngine:
         location_map: LocationMap,
         stats: SearchStats,
         tracer,
-        explain=NULL_EXPLAIN,
         budget=NULL_BUDGET,
     ) -> list[RankedMapping]:
         """Target size one: each containing attribute is a candidate."""
@@ -345,11 +334,9 @@ class TPWEngine:
         with tracer.span("tpw.rank") as span:
             candidates = rank_mappings(
                 self.db, tuple_paths, samples, self.model, self.config.ranking,
-                explain=explain,
                 budget=NULL_BUDGET if budget.degraded else budget,
             )
             stats.valid_complete_mappings = len(candidates)
             span.set("candidates", len(candidates))
-            explain.annotate_rank(span)
         stats.timings["rank"] = span.duration
         return candidates

@@ -51,7 +51,6 @@ from repro.core.mapping_path import MappingPath
 from repro.core.stats import SearchStats
 from repro.core.tuple_path import TuplePath
 from repro.obs import get_metrics, get_tracer
-from repro.obs.explain import NULL_EXPLAIN
 from repro.obs.metrics import COUNT_BUCKETS
 from repro.relational.query import JoinTree, JoinTreeEdge
 from repro.resilience.budget import NULL_BUDGET
@@ -573,7 +572,6 @@ def weave_complete_tuple_paths(
     config: TPWConfig,
     stats: SearchStats,
     tracer=None,
-    explain=NULL_EXPLAIN,
     budget=NULL_BUDGET,
 ) -> list[TuplePath]:
     """Algorithm 5: build complete tuple paths level by level.
@@ -583,10 +581,10 @@ def weave_complete_tuple_paths(
     (exactly one shared key) onto every level-``n`` path.  Statistics
     for Figures 12–13 and Table 4 are recorded on ``stats`` and, when
     ``tracer`` (default: the shared :mod:`repro.obs` handle) is live,
-    mirrored onto one ``tpw.weave.level`` span per level.  ``explain``
-    receives the fuse statistics — candidates in/out per level, how many
-    woven paths were dominated (duplicate canonical signature), and a
-    few dominated examples.
+    mirrored onto one ``tpw.weave.level`` span per level, together with
+    its ``fuse`` statistics — candidates in/out, how many woven paths
+    were dominated (duplicate canonical signature), and a few dominated
+    examples.
 
     The pairwise tuple paths enter unsigned: distinct pairwise mapping
     paths, and distinct rows within one, make them distinct by
@@ -603,8 +601,6 @@ def weave_complete_tuple_paths(
         tuple_path for tuple_paths in ptpm.values() for tuple_path in tuple_paths
     ]
     stats.pairwise_tuple_paths = len(pairwise)
-    if explain.enabled:
-        explain.weave_entry(len(pairwise))
 
     # Index the pairwise paths by (key, tuple, attribute) so the inner
     # loop only sees weavable partners.
@@ -661,7 +657,7 @@ def weave_complete_tuple_paths(
                                     partner, outcome, signature
                                 )
                             elif (
-                                explain.enabled
+                                tracer.enabled
                                 and len(dominated_examples) < 3
                             ):
                                 dominated_examples.append(
@@ -672,14 +668,18 @@ def weave_complete_tuple_paths(
             stats.kept_per_level[size + 1] = len(next_level)
             level_span.set("woven", woven)
             level_span.set("kept", len(next_level))
-            explain.level_fuse(
-                level_span,
-                level=size + 1,
-                bases_in=len(current),
-                woven=woven,
-                kept=len(next_level),
-                examples=dominated_examples,
-            )
+            if tracer.enabled:
+                level_span.set(
+                    "fuse",
+                    {
+                        "level": size + 1,
+                        "bases_in": len(current),
+                        "woven": woven,
+                        "kept": len(next_level),
+                        "dominated": woven - len(next_level),
+                        "examples": dominated_examples,
+                    },
+                )
             metrics.counter("repro.weave.woven").inc(woven)
             metrics.histogram(
                 "repro.weave.level_width", buckets=COUNT_BUCKETS

@@ -3,7 +3,9 @@
 One import point for the three observability primitives:
 
 * :mod:`repro.obs.tracer` — hierarchical span tracing of the TPW
-  pipeline (``with get_tracer().span("tpw.weave"): ...``),
+  pipeline (``with get_tracer().span("tpw.weave"): ...``), whose spans
+  also carry the pipeline's decision records (``span.record(key,
+  item)``, one capped append for search and prune provenance alike),
 * :mod:`repro.obs.metrics` — counters / gauges / fixed-bucket
   histograms for the hot paths (index probes, weave widths, prune
   decisions),
@@ -11,11 +13,12 @@ One import point for the three observability primitives:
   namespace,
 
 plus :mod:`repro.obs.export` for JSON-lines and human-readable output,
-:mod:`repro.obs.explain` for per-search decision provenance (prune
-reasons, weave fuse statistics, score decompositions) riding the span
-tree, and the operations layer: :mod:`repro.obs.prometheus` (text
-exposition), :mod:`repro.obs.profiler` (sampling profiler) and
-:mod:`repro.obs.recorder` (request flight recorder).
+:mod:`repro.obs.explain` for reading those decision records back as a
+per-search provenance report (prune reasons, weave fuse statistics,
+score decompositions), and the operations layer:
+:mod:`repro.obs.prometheus` (text exposition), :mod:`repro.obs.profiler`
+(sampling profiler) and :mod:`repro.obs.recorder` (request flight
+recorder).
 
 Everything is **off by default** and zero-cost-when-disabled: the
 shared handles are no-op implementations until :func:`enable` (or the
@@ -35,13 +38,7 @@ import os
 from contextlib import contextmanager
 from collections.abc import Iterator
 
-from repro.obs.explain import (
-    NULL_EXPLAIN,
-    ExplainRecorder,
-    NullExplainRecorder,
-    SearchExplanation,
-    find_searches,
-)
+from repro.obs.explain import SearchExplanation, find_searches
 from repro.obs.export import (
     parse_jsonl,
     records_to_spans,
@@ -104,9 +101,6 @@ __all__ = [
     "enable_metrics",
     "disable_metrics",
     "metrics_enabled",
-    "ExplainRecorder",
-    "NullExplainRecorder",
-    "NULL_EXPLAIN",
     "SearchExplanation",
     "find_searches",
     "enable",

@@ -1,34 +1,36 @@
 """Search explain & provenance: why a candidate survived, where the rest died.
 
 The tracer (:mod:`repro.obs.tracer`) says where a search spent its
-time; this module says what it *decided*.  A live search carries one
-:class:`ExplainRecorder` (created by
-:class:`~repro.core.tpw.TPWEngine` whenever tracing is enabled) that
-the pipeline phases feed with structured decision records:
+time; this module says what it *decided*.  While tracing is enabled,
+each pipeline phase writes structured decision records straight onto
+the span it runs in:
 
-* per pairwise mapping path — its generation depth (number of joins),
-  its support count, and whether it was kept or pruned, with the prune
-  reason (``zero-support``, ``pmnj``);
-* per weave level — candidate in/out counts and fuse statistics
-  (how many woven paths were ``dominated``: collapsed onto an
-  already-kept signature);
-* per final mapping — the full score decomposition of Section 4.5.5
+* per queried pairwise mapping path (``tpw.instantiate.pair``
+  ``decisions``) — its depth (number of joins), its support count, and
+  whether it was kept or pruned, with the prune reason;
+* per PMNJ-truncated walk (``tpw.pairwise`` ``pmnj_frontier``, with
+  ``pmnj_frontier_total``);
+* per weave level (``tpw.weave.level`` ``fuse``) — candidate in/out
+  counts and how many woven paths were ``dominated``: collapsed onto an
+  already-kept signature;
+* per final mapping (``tpw.rank`` ``scores``) — the full score
+  decomposition of Section 4.5.5
   (``match_weight * mean match − join_weight * joins``).
 
-Every record is attached to the existing span tree as plain
-JSON-serializable span attributes, so it survives the JSON-lines
-round-trip unchanged — a trace file written with ``--trace-out`` (or by
-the bench harness) is a complete provenance log.
+Record lists go through one capped append,
+:meth:`~repro.obs.tracer.Span.record`, the same one session pruning
+uses for its ``decisions``: it keeps the first
+:data:`~repro.obs.tracer.MAX_RECORDS` items and counts the rest in
+``<key>_dropped``.  Records are plain JSON-serializable span
+attributes, so they survive the JSON-lines round-trip unchanged — a
+trace file written with ``--trace-out`` (or by the bench harness) is a
+complete provenance log.  With tracing disabled no record is built:
+each call site checks the tracer (or its open span) first.
+
 :class:`SearchExplanation` reads the records back out of a
 ``tpw.search`` span tree (live or reloaded) and renders them as text,
 JSON, or a single-file HTML report; the ``mweaver explain`` CLI command
 is a thin wrapper around it.
-
-With tracing disabled the engine hands the phases the shared
-:data:`NULL_EXPLAIN` recorder, and every call site guards its record
-construction behind ``explain.enabled`` — the disabled path pays one
-attribute read, preserving the <5 % overhead budget of
-``results/BENCH_trace_overhead.json``.
 
 Prune reasons
 -------------
@@ -57,228 +59,8 @@ from typing import TYPE_CHECKING, Any
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.obs.tracer import Span
 
-#: Default cap per decision list attached to one span.  Explain records
-#: are diagnostics, not storage: past the cap only the drop count grows.
-MAX_RECORDS = 200
-
 #: Reasons a mapping path candidate can be pruned.
 PRUNE_REASONS = ("zero-support", "pmnj", "dominated")
-
-
-class ExplainRecorder:
-    """Collects decision records for one search and pins them on spans.
-
-    One recorder lives for one ``tpw.search``; the engine calls the
-    ``annotate_*`` methods while the matching phase span is still open,
-    which drains the buffered records into span attributes.
-    """
-
-    enabled = True
-
-    def __init__(self, limit: int = MAX_RECORDS) -> None:
-        self.limit = limit
-        self._pairwise: list[dict[str, Any]] = []
-        self._pairwise_dropped = 0
-        self._frontier: list[dict[str, Any]] = []
-        self._frontier_total = 0
-        self._pair_batch: list[dict[str, Any]] = []
-        self._pair_dropped = 0
-        self._weave_entry: dict[str, Any] | None = None
-        self._scores: list[dict[str, Any]] = []
-        self._scores_dropped = 0
-
-    # -- pairwise generation (Algorithms 2–4) --------------------------
-
-    def pairwise_decision(
-        self,
-        pair: tuple[int, int],
-        path: "Any",
-        decision: str,
-        reason: str | None = None,
-    ) -> None:
-        """One generated pairwise mapping path and the decision on it."""
-        if len(self._pairwise) >= self.limit:
-            self._pairwise_dropped += 1
-            return
-        self._pairwise.append(
-            {
-                "pair": list(pair),
-                "path": path.describe(),
-                "depth": path.n_joins,
-                "decision": decision,
-                "reason": reason,
-            }
-        )
-
-    def pmnj_frontier(self, key: int, walk: "Any") -> None:
-        """A walk truncated at the PMNJ bound with unexplored edges."""
-        self._frontier_total += 1
-        if len(self._frontier) >= self.limit:
-            return
-        self._frontier.append(
-            {
-                "key": key,
-                "walk": walk.describe(),
-                "depth": walk.n_joins,
-                "reason": "pmnj",
-            }
-        )
-
-    def annotate_pairwise(self, span: "Span") -> None:
-        """Attach the buffered generation decisions to ``tpw.pairwise``."""
-        span.set("decisions", self._pairwise)
-        if self._pairwise_dropped:
-            span.set("decisions_dropped", self._pairwise_dropped)
-        span.set("pmnj_frontier", self._frontier)
-        span.set("pmnj_frontier_total", self._frontier_total)
-
-    # -- instantiation (§4.5.3) -----------------------------------------
-
-    def instantiate_decision(
-        self, pair: tuple[int, int], path: "Any", support: int
-    ) -> None:
-        """One pairwise mapping path's query outcome (support count)."""
-        if len(self._pair_batch) >= self.limit:
-            self._pair_dropped += 1
-            return
-        self._pair_batch.append(
-            {
-                "pair": list(pair),
-                "path": path.describe(),
-                "depth": path.n_joins,
-                "support": support,
-                "decision": "kept" if support else "pruned",
-                "reason": None if support else "zero-support",
-            }
-        )
-
-    def annotate_instantiate_pair(self, span: "Span") -> None:
-        """Attach (and reset) the pair's decisions to its span."""
-        span.set("decisions", self._pair_batch)
-        if self._pair_dropped:
-            span.set("decisions_dropped", self._pair_dropped)
-        self._pair_batch = []
-        self._pair_dropped = 0
-
-    # -- weaving (Algorithms 5–6) ---------------------------------------
-
-    def weave_entry(self, pairwise_in: int) -> None:
-        """The weave's entry: how many pairwise tuple paths it starts from.
-
-        They are distinct by construction, so none is dominated here.
-        """
-        self._weave_entry = {"pairwise_in": pairwise_in}
-
-    def annotate_weave(self, span: "Span") -> None:
-        """Attach the entry count to ``tpw.weave``."""
-        if self._weave_entry is not None:
-            span.set("fuse", self._weave_entry)
-
-    def level_fuse(
-        self,
-        span: "Span",
-        *,
-        level: int,
-        bases_in: int,
-        woven: int,
-        kept: int,
-        examples: list[str],
-    ) -> None:
-        """Attach one weave level's in/out counts and fuse statistics."""
-        span.set(
-            "fuse",
-            {
-                "level": level,
-                "bases_in": bases_in,
-                "woven": woven,
-                "kept": kept,
-                "dominated": woven - kept,
-                "examples": examples,
-            },
-        )
-
-    # -- ranking (§4.5.5) -----------------------------------------------
-
-    def score(
-        self,
-        rank: int,
-        mapping: "Any",
-        *,
-        score: float,
-        match_mean: float,
-        match_term: float,
-        join_term: float,
-        support: int,
-    ) -> None:
-        """One ranked candidate's score decomposition."""
-        if len(self._scores) >= self.limit:
-            self._scores_dropped += 1
-            return
-        self._scores.append(
-            {
-                "rank": rank,
-                "mapping": mapping.describe(),
-                "score": score,
-                "match_mean": match_mean,
-                "match_term": match_term,
-                "join_term": join_term,
-                "n_joins": mapping.n_joins,
-                "support": support,
-            }
-        )
-
-    def annotate_rank(self, span: "Span") -> None:
-        """Attach the score decompositions to ``tpw.rank``."""
-        span.set("scores", self._scores)
-        if self._scores_dropped:
-            span.set("scores_dropped", self._scores_dropped)
-        self._scores = []
-        self._scores_dropped = 0
-
-
-class NullExplainRecorder:
-    """The disabled recorder: records nothing, annotates nothing.
-
-    Call sites additionally guard record *construction* behind
-    ``explain.enabled``, so with this recorder installed the per-path
-    hot loops never build a record at all.
-    """
-
-    enabled = False
-
-    def pairwise_decision(self, *args: Any, **kwargs: Any) -> None:
-        """No-op (tracing disabled)."""
-
-    def pmnj_frontier(self, *args: Any, **kwargs: Any) -> None:
-        """No-op (tracing disabled)."""
-
-    def annotate_pairwise(self, span: Any) -> None:
-        """No-op (tracing disabled)."""
-
-    def instantiate_decision(self, *args: Any, **kwargs: Any) -> None:
-        """No-op (tracing disabled)."""
-
-    def annotate_instantiate_pair(self, span: Any) -> None:
-        """No-op (tracing disabled)."""
-
-    def weave_entry(self, *args: Any, **kwargs: Any) -> None:
-        """No-op (tracing disabled)."""
-
-    def annotate_weave(self, span: Any) -> None:
-        """No-op (tracing disabled)."""
-
-    def level_fuse(self, span: Any, **kwargs: Any) -> None:
-        """No-op (tracing disabled)."""
-
-    def score(self, *args: Any, **kwargs: Any) -> None:
-        """No-op (tracing disabled)."""
-
-    def annotate_rank(self, span: Any) -> None:
-        """No-op (tracing disabled)."""
-
-
-#: Shared no-op recorder the engine hands out when tracing is off.
-NULL_EXPLAIN = NullExplainRecorder()
 
 
 # ----------------------------------------------------------------------
@@ -342,13 +124,14 @@ class SearchExplanation:
     duration_s: float = 0.0
     #: Phase name -> wall seconds, from the direct child spans.
     phase_seconds: dict[str, float] = field(default_factory=dict)
-    #: Merged per-path decisions (generation + instantiation outcome).
+    #: Per-path decisions of the instantiation queries, by key pair.
     paths: list[dict[str, Any]] = field(default_factory=list)
     #: Walks truncated at the PMNJ bound (capped sample).
     pmnj_frontier: list[dict[str, Any]] = field(default_factory=list)
     #: Total PMNJ-truncated walks (the frontier list is capped).
     pmnj_frontier_total: int = 0
-    #: Weave fuse statistics: the entry count first, then one per level.
+    #: Weave fuse statistics: the pairwise entry count first, then one
+    #: per level.
     levels: list[dict[str, Any]] = field(default_factory=list)
     #: Score decompositions, best rank first.
     scores: list[dict[str, Any]] = field(default_factory=list)
@@ -369,24 +152,12 @@ class SearchExplanation:
             candidates=int(attrs.get("candidates", 0)),
             duration_s=span.duration,
         )
-        merged: dict[tuple[tuple[int, ...], str], dict[str, Any]] = {}
-
-        def merge(record: dict[str, Any]) -> None:
-            key = (tuple(record.get("pair", ())), record.get("path", ""))
-            existing = merged.get(key)
-            if existing is None:
-                merged[key] = dict(record)
-            else:
-                existing.update(record)
-
         for child in span.children:
             phase = child.name.rsplit(".", 1)[-1]
             explanation.phase_seconds[phase] = (
                 explanation.phase_seconds.get(phase, 0.0) + child.duration
             )
             if child.name == "tpw.pairwise":
-                for record in child.attributes.get("decisions", ()):
-                    merge(record)
                 explanation.pmnj_frontier = list(
                     child.attributes.get("pmnj_frontier", ())
                 )
@@ -395,19 +166,19 @@ class SearchExplanation:
                 )
             elif child.name == "tpw.instantiate":
                 for pair_span in child.find_all("tpw.instantiate.pair"):
-                    for record in pair_span.attributes.get("decisions", ()):
-                        merge(record)
+                    explanation.paths.extend(
+                        pair_span.attributes.get("decisions", ())
+                    )
             elif child.name == "tpw.weave":
-                fuse = child.attributes.get("fuse")
-                if fuse:
-                    explanation.levels.append({"level": 2, **fuse})
+                entry = child.attributes.get("pairwise_tuple_paths")
+                if entry is not None:
+                    explanation.levels.append({"level": 2, "pairwise_in": entry})
                 for level_span in child.find_all("tpw.weave.level"):
                     fuse = level_span.attributes.get("fuse")
                     if fuse:
                         explanation.levels.append(dict(fuse))
             elif child.name == "tpw.rank":
                 explanation.scores = list(child.attributes.get("scores", ()))
-        explanation.paths = list(merged.values())
         return explanation
 
     @classmethod

@@ -74,6 +74,11 @@ import time
 from collections.abc import Callable, Iterator
 from typing import Any
 
+#: Cap per record list one span keeps (see :meth:`Span.record`).
+#: Decision records are diagnostics, not storage: past the cap only the
+#: drop count grows.
+MAX_RECORDS = 200
+
 
 class Span:
     """One timed, attributed region of work inside a span tree."""
@@ -121,6 +126,19 @@ class Span:
     def add(self, key: str, amount: int | float = 1) -> "Span":
         """Increment a numeric attribute (missing counts as zero)."""
         self.attributes[key] = self.attributes.get(key, 0) + amount
+        return self
+
+    def record(self, key: str, item: Any) -> "Span":
+        """Append ``item`` to the list attribute ``key``, capped.
+
+        The list keeps the first :data:`MAX_RECORDS` items; each one
+        past the cap only increments ``<key>_dropped``.
+        """
+        items = self.attributes.setdefault(key, [])
+        if len(items) < MAX_RECORDS:
+            items.append(item)
+        else:
+            self.add(f"{key}_dropped")
         return self
 
     # -- lifecycle -----------------------------------------------------
@@ -223,6 +241,10 @@ class Stopwatch:
 
     def add(self, _key: str, _amount: int | float = 1) -> "Stopwatch":
         """No-op attribute increment; returns the stopwatch."""
+        return self
+
+    def record(self, _key: str, _item: Any) -> "Stopwatch":
+        """No-op record append; returns the stopwatch."""
         return self
 
     def __enter__(self) -> "Stopwatch":

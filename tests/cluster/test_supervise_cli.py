@@ -45,6 +45,10 @@ def _running(pid: int) -> bool:
     return stat.rpartition(")")[2].split()[0] != "Z"
 
 
+def _argv(pid: int) -> list[str]:
+    return Path(f"/proc/{pid}/cmdline").read_text().split("\0")
+
+
 def _healthy(url: str) -> bool:
     try:
         with urlopen(f"{url}/healthz", timeout=2.0) as response:  # noqa: S310
@@ -105,7 +109,10 @@ def test_respawns_a_killed_shard_and_stops_cleanly():
         _wait(lambda: len(_children(supervisor.pid) - original) == 1)
         (respawned,) = _children(supervisor.pid) - original
         children.add(respawned)
-        argv = Path(f"/proc/{respawned}/cmdline").read_text().split("\0")
+        # Until the forked child execs, its cmdline is still the
+        # supervisor's argv, which has no --port.
+        _wait(lambda: "--port" in _argv(respawned))
+        argv = _argv(respawned)
         port = argv[argv.index("--port") + 1]
         assert port in ports  # pinned to the port the shard had
         _wait(lambda: _healthy(f"http://127.0.0.1:{port}"))

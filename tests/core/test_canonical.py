@@ -1,6 +1,6 @@
 """Unit tests for the canonical tree encoding used for deduplication."""
 
-from repro.core.canonical import canonical_signature
+from repro.core.canonical import canonical_signature, signature_sort_key
 from repro.relational.query import JoinTree, JoinTreeEdge
 
 
@@ -105,3 +105,31 @@ class TestCanonicalSignature:
         assert canonical_signature(tree, labels) == canonical_signature(
             mirrored, labels
         )
+
+
+class TestSignatureSortKey:
+    def test_edge_sets_and_ahu_tuples_sort_together(self):
+        path = JoinTree({0: "x", 1: "y"}, (JoinTreeEdge(0, 1, "f", 0),))
+        edge_set = canonical_signature(path, label_from({0: "a", 1: "b"}))
+        ahu = canonical_signature(path, label_from({0: "a", 1: "a"}))
+        single = canonical_signature(JoinTree({0: "x"}), label_from({0: "a"}))
+        assert isinstance(edge_set, frozenset) and isinstance(ahu, tuple)
+        keys = sorted(map(signature_sort_key, [ahu, edge_set, single]))
+        assert keys[0] == signature_sort_key(edge_set)
+
+    def test_equal_signatures_give_equal_keys(self):
+        tree_a = JoinTree(
+            {0: "movie", 1: "direct", 2: "person"},
+            (JoinTreeEdge(0, 1, "f", 1), JoinTreeEdge(1, 2, "g", 1)),
+        )
+        tree_b = JoinTree(
+            {10: "movie", 20: "direct", 30: "person"},
+            (JoinTreeEdge(20, 30, "g", 20), JoinTreeEdge(10, 20, "f", 20)),
+        )
+        key_a = signature_sort_key(
+            canonical_signature(tree_a, label_from({0: "m", 1: "d", 2: "p"}))
+        )
+        key_b = signature_sort_key(
+            canonical_signature(tree_b, label_from({10: "m", 20: "d", 30: "p"}))
+        )
+        assert key_a == key_b

@@ -129,3 +129,35 @@ class TestRankMappings:
         )
         text = ranked[0].describe()
         assert "score=" in text and "support=1" in text
+
+
+def renumbered_direct_path() -> TuplePath:
+    """:func:`direct_path` with its vertices numbered 9, 3, 5."""
+    tree = JoinTree(
+        {9: "movie", 3: "direct", 5: "person"},
+        (
+            JoinTreeEdge(9, 3, "direct_mid", 3),
+            JoinTreeEdge(3, 5, "direct_pid", 3),
+        ),
+    )
+    return TuplePath(tree, {9: 0, 3: 0, 5: 0}, {0: (9, "title"), 1: (5, "name")})
+
+
+class TestTieBreak:
+    def test_vertex_numbering_does_not_move_a_tied_candidate(self, running_db):
+        # James Cameron directed and wrote Avatar: both mappings score
+        # alike with the same joins, so only the tie-break orders them.
+        sample = ("Avatar", "James Cameron")
+        orders = []
+        for direct in (direct_path(), renumbered_direct_path()):
+            ranked = rank_mappings(
+                running_db, [write_path(), direct], sample, MODEL,
+                RankingWeights(),
+            )
+            assert ranked[0].score == ranked[1].score
+            assert ranked[0].mapping.n_joins == ranked[1].mapping.n_joins
+            orders.append(
+                [candidate.mapping == direct.to_mapping_path()
+                 for candidate in ranked]
+            )
+        assert orders[0] == orders[1]

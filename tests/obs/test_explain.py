@@ -7,7 +7,8 @@ import pytest
 from repro import obs
 from repro.core.stats import SearchStats
 from repro.core.tpw import TPWEngine
-from repro.obs.explain import ExplainRecorder, NULL_EXPLAIN, SearchExplanation
+from repro.obs.explain import SearchExplanation
+from repro.obs.tracer import MAX_RECORDS
 
 #: The paper's Example 7 input: Tim Burton directed Big Fish but did
 #: not write it, so the ``write`` pairwise path gets zero support.
@@ -152,31 +153,19 @@ class TestRenderers:
 
 
 class TestRecorder:
-    def test_caps_and_counts_drops(self, running_db):
-        from repro.core.mapping_path import single_relation_mapping
-
-        recorder = ExplainRecorder(limit=2)
-        mapping = single_relation_mapping("movie", {0: "title"})
-        for _ in range(5):
-            recorder.pairwise_decision((0, 1), mapping, "kept")
+    def test_caps_and_counts_drops(self):
         with obs.scoped() as tracer:
             with tracer.span("tpw.pairwise") as span:
-                recorder.annotate_pairwise(span)
-        assert len(span.attributes["decisions"]) == 2
+                for index in range(MAX_RECORDS + 3):
+                    span.record("decisions", {"index": index})
+        assert len(span.attributes["decisions"]) == MAX_RECORDS
+        assert span.attributes["decisions"][-1] == {"index": MAX_RECORDS - 1}
         assert span.attributes["decisions_dropped"] == 3
 
     def test_disabled_search_records_nothing(self, running_db):
         result = TPWEngine(running_db).search(ZERO_SUPPORT_SAMPLE)
         assert result.trace is None
         assert result.n_candidates == 1  # behavior identical untraced
-
-    def test_null_recorder_is_inert(self):
-        assert NULL_EXPLAIN.enabled is False
-        NULL_EXPLAIN.pairwise_decision((0, 1), None, "kept")
-        NULL_EXPLAIN.score(1, None, score=0, match_mean=0,
-                           match_term=0, join_term=0, support=0)
-        NULL_EXPLAIN.annotate_pairwise(None)
-        NULL_EXPLAIN.annotate_rank(None)
 
 
 class TestSessionPruneProvenance:

@@ -122,6 +122,8 @@ class TestDisabledPath:
         assert watch.duration > 0  # real wall-clock, per the contract
         assert watch.attributes == {}
         assert watch.set("k", "v") is watch
+        assert watch.record("decisions", {"k": "v"}) is watch
+        assert watch.attributes == {}
         assert tracer.finished == ()
         assert tracer.current() is None
 

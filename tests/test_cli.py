@@ -1,8 +1,16 @@
 """Tests for the command-line interface."""
 
+import json
+from pathlib import Path
+
 import pytest
 
+from repro import obs
 from repro.cli import build_parser, main
+from repro.core.tpw import TPWEngine
+from repro.datasets.running_example import build_running_example
+
+RESULTS = Path(__file__).resolve().parents[1] / "results"
 
 
 class TestParser:
@@ -204,3 +212,60 @@ class TestCommands:
         output = capsys.readouterr().out
         assert "no suggestions" in output
         assert "suggestion: Big Fish" in output
+
+
+class TestExplainCommand:
+    def test_text_report_by_default(self, capsys):
+        assert main(["explain"]) == 0
+        output = capsys.readouterr().out
+        assert output.startswith("search #")
+        assert "pruned (zero-support) support=0" in output
+        assert "score decomposition" in output
+
+    def test_json_and_html_reports(self, capsys, tmp_path):
+        report = tmp_path / "report.html"
+        assert main(["explain", "--format", "json", "--html", str(report)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["prune_totals"]["zero-support"] >= 1
+        assert all(
+            path["support"] >= 1
+            for path in payload["paths"]
+            if path["decision"] == "kept"
+        )
+        assert report.read_text().startswith("<!doctype html>")
+
+    def test_trace_out_round_trips_through_input(self, capsys, tmp_path):
+        trace = tmp_path / "t.jsonl"
+        assert main(
+            ["explain", "--trace-out", str(trace), "--format", "json"]
+        ) == 0
+        live = json.loads(capsys.readouterr().out)
+        assert main(["explain", "--input", str(trace), "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out) == live
+
+    def test_multi_search_trace_needs_a_search_id(self, capsys, tmp_path):
+        engine = TPWEngine(build_running_example())
+        with obs.scoped() as tracer:
+            first = engine.search(("Avatar", "James Cameron"))
+            engine.search(("Big Fish", "Tim Burton"))
+        trace = obs.write_jsonl(tmp_path / "two.jsonl", tracer.finished)
+        assert main(["explain", "--input", str(trace)]) == 2
+        assert "pass search_id" in capsys.readouterr().err
+        assert main([
+            "explain", "--input", str(trace),
+            "--search-id", str(first.search_id), "--format", "json",
+        ]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["search"]["search_id"] == first.search_id
+
+    def test_explains_a_trace_recorded_by_an_earlier_version(self, capsys):
+        # The committed trace also carries per-path decisions on
+        # tpw.pairwise and a fuse record on tpw.weave, which searches no
+        # longer write; the report reads past them.
+        trace = RESULTS / "table2_headline_trace.jsonl"
+        assert main(["explain", "--input", str(trace), "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["paths"]
+        assert all("support" in path for path in payload["paths"])
+        assert set(payload["levels"][0]) == {"level", "pairwise_in"}
+        assert payload["prune_totals"]["zero-support"] >= 1
